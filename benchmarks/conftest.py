@@ -13,7 +13,6 @@ while also passing ``--benchmark-json=<new path>`` and the session runs
 ``repro.analysis.obs``'s compare gate over the freshly written JSON at
 exit, failing the session (exit code 1) on a regression. This turns the
 recorded ``BENCH_*.json`` trajectory into an enforceable contract.
-CI points the gate at the committed ``benchmarks/baselines/seed.json``;
 ``REPRO_BENCH_REL_TOL`` relaxes the wall-clock tolerance (a float, e.g.
 ``1.5``) for runners slower than the baseline machine.
 """

@@ -31,7 +31,9 @@ def bar(value, width=40, maximum=300):
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
     print(f"running {len(DEFAULT_SUITE)} benchmarks at scale {scale} ...")
-    results = simulate_suite(use_based_config(), scale=scale)
+    results = simulate_suite(
+        use_based_config(record_lifetimes=True), scale=scale
+    )
 
     print()
     print("register lifetime phases (median cycles per benchmark):")

@@ -1,4 +1,9 @@
-"""Experiment harness: engine, metrics, sweeps, reports, artifacts."""
+"""Experiment harness: engine, metrics, sweeps, reports, artifacts.
+
+:data:`EXPERIMENTS` is resolved on first access rather than imported
+here, so ``python -m repro.analysis.experiments`` runs that module
+fresh instead of finding it half-imported by its own package.
+"""
 
 from repro.analysis.engine import (
     ExperimentEngine,
@@ -7,7 +12,6 @@ from repro.analysis.engine import (
     configure,
     get_engine,
 )
-from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.metrics import CacheMetricsRow, aggregate_cache_metrics
 from repro.analysis.report import ExperimentResult, render, render_all
 from repro.analysis.sweeps import ipc_curve, load_traces, run_config, sweep
@@ -29,3 +33,11 @@ __all__ = [
     "run_config",
     "sweep",
 ]
+
+
+def __getattr__(name: str):
+    if name == "EXPERIMENTS":
+        from repro.analysis.experiments import EXPERIMENTS
+
+        return EXPERIMENTS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -122,7 +122,9 @@ def _scheme_configs(**common) -> dict[str, MachineConfig]:
 def fig1_lifetimes(scale: float | None = None) -> ExperimentResult:
     """Median empty/live/dead register lifetime phases (Figure 1)."""
     traces = _traces(scale)
-    results = _present(run_config(traces, use_based_config()))
+    results = _present(run_config(
+        traces, use_based_config(record_lifetimes=True)
+    ))
     rows = []
     summaries = []
     for name, stats in results.items():
@@ -148,7 +150,9 @@ def fig1_lifetimes(scale: float | None = None) -> ExperimentResult:
 def fig2_occupancy_cdf(scale: float | None = None) -> ExperimentResult:
     """Allocated vs live register distributions (Figure 2)."""
     traces = _traces(scale)
-    results = _present(run_config(traces, use_based_config()))
+    results = _present(run_config(
+        traces, use_based_config(record_lifetimes=True)
+    ))
     rows = []
     for name, stats in results.items():
         alloc = allocated_cdf(stats.lifetimes)

@@ -105,8 +105,7 @@ class MachineConfig:
     # memory hierarchy toggles and latencies (Table 1: Memory). The
     # latencies feed HierarchyConfig; raising memory_latency moves a
     # memory-resident workload deeper into the stall-dominated regime
-    # (the paper's mcf-like points, and the regime the event-driven
-    # core's dead-cycle skipping targets).
+    # (the paper's mcf-like points).
     model_memory: bool = True
     model_icache: bool = True
     l2_latency: int = 12
@@ -115,6 +114,13 @@ class MachineConfig:
     # Diagnostics: keep per-instruction issue/execute timestamps on the
     # pipeline (``Pipeline.issue_log``) for tests and debugging.
     record_timing: bool = False
+
+    # Log one LifetimeRecord per physical-register allocation into
+    # ``SimStats.lifetimes`` (the Figure 1/2 input). Off by default: the
+    # log costs host time and result size, and only the lifetime
+    # analyses read it. Being a field, it enters config_key and so the
+    # engine's result-cache key.
+    record_lifetimes: bool = False
 
     # safety valve for the simulation loop
     max_cycles: int = 30_000_000
@@ -198,16 +204,27 @@ class MachineConfig:
         become name-sorted tuples. The key is JSON-serializable, so it
         doubles as the configuration part of the experiment engine's
         content-addressed cache key and as a stable sweep label.
+
+        The key is computed once per (frozen) config and memoized on it:
+        the engine asks for it several times per job.
         """
-        items = []
-        for f in sorted(dataclasses.fields(self), key=lambda f: f.name):
-            items.append((f.name, _normalize(getattr(self, f.name))))
-        return tuple(items)
+        key = self.__dict__.get("_config_key")
+        if key is None:
+            key = tuple(
+                (f.name, _normalize(getattr(self, f.name)))
+                for f in sorted(dataclasses.fields(self), key=lambda f: f.name)
+            )
+            object.__setattr__(self, "_config_key", key)
+        return key
 
     def config_hash(self) -> str:
-        """SHA-256 hex digest of :meth:`config_key`."""
-        payload = json.dumps(self.config_key(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """SHA-256 hex digest of :meth:`config_key` (memoized)."""
+        digest = self.__dict__.get("_config_hash")
+        if digest is None:
+            payload = json.dumps(self.config_key(), sort_keys=True)
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_config_hash", digest)
+        return digest
 
     def frontend_key(self) -> tuple[tuple[str, object], ...]:
         """Identity of everything *except* the register-storage scheme.

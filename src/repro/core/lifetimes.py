@@ -3,7 +3,10 @@
 Works over the per-allocation :class:`~repro.core.stats.LifetimeRecord`
 log collected by the pipeline, computing the median empty/live/dead
 phase lengths and the cumulative distributions of simultaneously
-allocated and live registers.
+allocated and live registers. The pipeline collects the log only under
+``MachineConfig(record_lifetimes=True)``; every analysis here raises
+:class:`~repro.errors.LifetimesNotRecorded` when handed the ``None`` log
+of a run that did not record one, instead of reporting an empty log.
 """
 
 from __future__ import annotations
@@ -11,6 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.stats import LifetimeRecord
+from repro.errors import LifetimesNotRecorded
+
+
+def _recorded(records: list[LifetimeRecord] | None) -> list[LifetimeRecord]:
+    if records is None:
+        raise LifetimesNotRecorded(
+            "this run did not record register lifetimes; simulate with "
+            "MachineConfig(record_lifetimes=True)"
+        )
+    return records
 
 
 def _median(values: list[int]) -> float:
@@ -38,6 +51,7 @@ class PhaseSummary:
 
 def phase_summary(records: list[LifetimeRecord]) -> PhaseSummary:
     """Median empty/live/dead times over one benchmark's allocations."""
+    records = _recorded(records)
     return PhaseSummary(
         empty=_median([r.empty_time for r in records]),
         live=_median([r.live_time for r in records]),
@@ -133,6 +147,7 @@ def concatenate_records(
     pooled: list[LifetimeRecord] = []
     offset = 0
     for group in groups:
+        group = _recorded(group)
         end = 0
         for record in group:
             pooled.append(LifetimeRecord(
@@ -146,6 +161,7 @@ def concatenate_records(
 
 def allocated_cdf(records: list[LifetimeRecord]) -> OccupancyCdf:
     """CDF of simultaneously *allocated* physical registers (Figure 2)."""
+    records = _recorded(records)
     return occupancy_cdf([(r.alloc, r.free) for r in records])
 
 
@@ -155,4 +171,5 @@ def live_cdf(records: list[LifetimeRecord]) -> OccupancyCdf:
     A value is live from its write until its last read; zero-length live
     ranges (never-read values) contribute nothing.
     """
+    records = _recorded(records)
     return occupancy_cdf([(r.write, r.last_read) for r in records])

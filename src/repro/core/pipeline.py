@@ -32,15 +32,13 @@ Timing rules (derivations in DESIGN.md §4):
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from heapq import heappop, heappush
 
 from repro.core.config import MachineConfig
-from repro.core.events import EventWheel
 from repro.core.stats import LifetimeRecord, SimStats
-from repro.errors import ConfigError, SimulationError
+from repro.errors import RenameError, SimulationError
 from repro.frontend.fetch import FrontEnd
+from repro.isa.instruction import NUM_ARCH_REGS
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.obs.metrics import get_metrics
@@ -48,18 +46,29 @@ from repro.obs.tracer import trace_file_for, tracer_from_env
 from repro.predict.degree_of_use import DegreeOfUsePredictor
 from repro.regfile.backing import BackingFile
 from repro.regfile.indexing import make_index_policy
-from repro.regfile.insertion import WriteContext, make_insertion_policy
+from repro.regfile.insertion import make_insertion_policy
 from repro.regfile.physical import PhysicalRegisterFile
 from repro.regfile.register_cache import RegisterCache
 from repro.regfile.replacement import make_replacement_policy
 from repro.regfile.two_level import TwoLevelRegisterFile
-from repro.rename.freelist import FreeList
-from repro.rename.map_table import MapTable
-from repro.rename.renamer import Renamer
 from repro.vm.trace import Trace
 
 _WAITING = 0
 _ISSUED = 1
+
+#: Slots of a per-cycle event record, in the order a cycle processes
+#: them: cache fills, register-cache lookups, d-cache probes,
+#: writebacks, branch resolves, the issue candidates, and the loads
+#: whose L1 miss blocks issue in that cycle. Each slot is None or a
+#: non-empty list.
+_FILLS, _LOOKUPS, _DCACHE, _WRITEBACKS, _RESOLVES, _READY, _BLOCKED = range(7)
+
+#: Rename-map entry for a source never written in the trace (a
+#: preinitialized environment register): always ready, no cache set.
+_NO_SOURCE = (-1, -1)
+
+#: Functional-unit class -> dense index into per-class lists.
+_FU_INDEX = {op_class: index for index, op_class in enumerate(OpClass)}
 
 #: Sentinel for "resolve from the environment" observability arguments.
 _FROM_ENV = object()
@@ -70,14 +79,51 @@ def _op_seq(op: "_Op") -> int:
     return op.seq
 
 
+def _push(events: dict, when: int, slot: int, item) -> None:
+    """Append *item* to slot *slot* of cycle *when*'s event record."""
+    record = events.get(when)
+    if record is None:
+        record = events[when] = [None, None, None, None, None, None, None]
+    bucket = record[slot]
+    if bucket is None:
+        record[slot] = [item]
+    else:
+        bucket.append(item)
+
+
+def fu_classes_for(trace: Trace) -> list[int]:
+    """Per-record functional-unit class index, memoized on the trace.
+
+    Issue arbitrates functional units by class on every issued
+    instruction; indexing int lists instead of hashing :class:`OpClass`
+    members keeps that per-instruction work cheap, and every
+    configuration simulating the trace shares the one list.
+    """
+    classes = getattr(trace, "_fu_classes", None)
+    if classes is None:
+        index = _FU_INDEX
+        classes = [index[record.op_class] for record in trace.records]
+        trace._fu_classes = classes
+    return classes
+
+
 class _Op:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction.
+
+    An op that allocates a destination register is also that register's
+    producer record (``Pipeline.producers[dest_preg]``) from rename until
+    the register is freed; the producer fields at the end are set only
+    for such ops.
+    """
 
     __slots__ = (
         "seq", "dyn", "sources", "dest_preg", "dest_set", "prev_preg",
         "pred_eff", "pinned", "predicted", "mispredicted",
         "status", "issue_time", "exec_start", "exec_end", "unready",
         "src_producer_seqs", "earliest_epoch", "earliest_value",
+        # Producer side.
+        "alloc_time", "uses_renamed", "bypass_first", "bypass_total",
+        "last_read", "waiters",
     )
 
     def __init__(self, seq, dyn):
@@ -104,34 +150,6 @@ class _Op:
         self.earliest_value = 0
 
 
-class _PregInfo:
-    """Producer-side state of one physical-register allocation."""
-
-    __slots__ = (
-        "issued", "exec_end", "pc", "fcf", "pred_eff", "pinned",
-        "predicted", "assigned_set", "bypass_first", "bypass_total",
-        "uses_renamed", "alloc_time", "last_read", "waiters",
-        "producer_seq",
-    )
-
-    def __init__(self, pc: int, fcf: int, alloc_time: int) -> None:
-        self.issued = False
-        self.exec_end = -1
-        self.pc = pc
-        self.fcf = fcf
-        self.producer_seq = -1
-        self.pred_eff = 0
-        self.pinned = False
-        self.predicted = None
-        self.assigned_set = -1
-        self.bypass_first = 0
-        self.bypass_total = 0
-        self.uses_renamed = 0
-        self.alloc_time = alloc_time
-        self.last_read = -1
-        self.waiters: list[_Op] = []
-
-
 class Pipeline:
     """Executes one trace under one machine configuration.
 
@@ -146,23 +164,16 @@ class Pipeline:
         *,
         tracer=_FROM_ENV,
         metrics=_FROM_ENV,
-        core: str | None = None,
         branch_plan: list[int] | None = None,
     ) -> None:
         config.validate()
-        if core is None:
-            core = os.environ.get("REPRO_SIM_CORE", "event").strip().lower()
-        if core not in ("cycle", "event"):
-            raise ConfigError(
-                f"REPRO_SIM_CORE must be 'cycle' or 'event', got {core!r}"
-            )
-        #: Which timing loop runs: "event" skips dead cycles via a
-        #: next-event horizon, "cycle" is the reference per-cycle loop.
-        #: Both produce bit-identical SimStats (DESIGN.md §10).
-        self.core = core
         self.trace = trace
         self.config = config
-        self.stats = SimStats(benchmark=trace.name, scheme=config.storage)
+        self.record_lifetimes = config.record_lifetimes
+        self.stats = SimStats(
+            benchmark=trace.name, scheme=config.storage,
+            lifetimes=[] if config.record_lifetimes else None,
+        )
 
         # Observability: an event tracer (None unless REPRO_TRACE_EVENTS
         # is set or one is injected) and a metrics registry (the
@@ -179,9 +190,16 @@ class Pipeline:
             # Preg ids are logical value ids for this scheme; the real
             # constraint is L1 slots, tracked by the two-level model.
             num_pregs = max(num_pregs, 1024)
-        self.freelist = FreeList(num_pregs)
-        self.map_table = MapTable()
-        self.pinfo: list[_PregInfo | None] = [None] * num_pregs
+        # Rename state: a LIFO freelist (most recently freed register
+        # first, as a stack allocator behaves — the reuse pattern that
+        # makes preg-derived cache indexing conflict-prone, paper §4.1),
+        # the checked-out flags, and the architectural map, whose
+        # entries are (preg, assigned cache set) pairs.
+        self._free_pregs: list[int] = list(range(num_pregs))
+        self._preg_allocated = [False] * num_pregs
+        self._arch_map: list[tuple[int, int] | None] = [None] * NUM_ARCH_REGS
+        #: preg -> the op producing its current value (None when free).
+        self.producers: list[_Op | None] = [None] * num_pregs
 
         self.read_latency = config.read_latency
         self.bypass_stages = config.bypass_stages
@@ -193,7 +211,7 @@ class Pipeline:
         self.two_level: TwoLevelRegisterFile | None = None
         self.insertion = None
         self.index_policy = None
-        assign_set = None
+        self._assign_set = None
         if config.storage == "register_cache":
             assoc = config.cache_assoc or config.cache_entries
             num_sets = config.cache_entries // assoc
@@ -214,7 +232,7 @@ class Pipeline:
                 config.backing_read_ports,
             )
             if self.index_policy.decoupled:
-                assign_set = self.index_policy.assign
+                self._assign_set = self.index_policy.assign
         elif config.storage == "monolithic":
             self.rf = PhysicalRegisterFile(
                 num_pregs, config.rf_read_latency,
@@ -228,8 +246,6 @@ class Pipeline:
                 free_threshold=config.two_level_free_threshold,
             )
 
-        self.renamer = Renamer(self.freelist, self.map_table, assign_set)
-
         self.predictor: DegreeOfUsePredictor | None = None
         if config.predictor_enabled and config.storage == "register_cache":
             self.predictor = DegreeOfUsePredictor(
@@ -240,6 +256,10 @@ class Pipeline:
         # Trace-invariant precompute, shared (and disk-cached) across
         # every configuration simulating this trace.
         self.fcf = trace.analysis().fcf
+        self._fu_class = fu_classes_for(trace)
+        self._fu_limits = [
+            config.fu_counts.get(op_class, 1) for op_class in OpClass
+        ]
 
         self.memory = (
             MemoryHierarchy(HierarchyConfig(
@@ -257,40 +277,21 @@ class Pipeline:
             branch_plan=branch_plan,
         )
 
-        # Event queues: cycle -> payload list.
-        self._lookups: dict[int, list[tuple[_Op, int, int]]] = {}
-        self._dcache_events: dict[int, list[_Op]] = {}
-        self._writebacks: dict[int, list[_Op]] = {}
-        self._resolves: dict[int, list[_Op]] = {}
-        self._fills: dict[int, list[tuple[int, int]]] = {}
-        self._ready: dict[int, list[_Op]] = {}
-        self._blocked: set[int] = set()
+        #: cycle -> event record (see the ``_FILLS`` ... ``_BLOCKED``
+        #: slots): everything scheduled for that cycle, popped once.
+        self._events: dict[int, list] = {}
 
         self.rob: deque[_Op] = deque()
         self.window_count = 0
         self.retired = 0
         self._dispatch_blocked_until = 0
         self._wrongpath_reserved = 0
-        self.cycle = 0
         #: seq -> issued _Op, populated when config.record_timing is set.
         self.issue_log: dict[int, _Op] = {}
 
-        # Event core state: the pending-event horizon (None selects the
-        # reference per-cycle loop) and the producer-state epoch backing
-        # the _earliest memo — bumped whenever any producer's exec_end
-        # changes, so an unchanged epoch proves a cached readiness bound
-        # is still exact.
-        self._horizon: EventWheel | None = (
-            EventWheel() if core == "event" else None
-        )
-        # Lazily drained event keys (fills + writebacks): these events
-        # only mutate storage state that later *processed* cycles read —
-        # they never unblock dispatch, issue, retirement, or fetch — so
-        # instead of waking the scheduler they are replayed in key order
-        # (with their original timestamps) at the top of the next cycle
-        # the scheduler processes for some other reason.
-        self._lazy_heap: list[int] = []
-        self._lazy_set: set[int] = set()
+        # Producer-state epoch backing the _earliest memo: bumped
+        # whenever any producer's exec_end changes, so an unchanged
+        # epoch proves a cached readiness bound is still exact.
         self._pepoch = 0
         self.earliest_memo_hits = 0
         self.earliest_memo_misses = 0
@@ -300,34 +301,28 @@ class Pipeline:
     def run(self) -> SimStats:
         """Simulate to completion and return the statistics.
 
-        Dispatches to the event-driven scheduler (default) or the
-        reference per-cycle loop, selected by ``REPRO_SIM_CORE`` or the
-        ``core=`` constructor argument. The two are bit-identical in
-        every statistic they produce (DESIGN.md §10); the event core
-        just skips the cycles in which nothing can happen.
-        """
-        if self._horizon is not None:
-            return self._run_event()
-        return self._run_cycle()
+        One loop iteration per cycle, in the fixed stage order: this
+        cycle's fills, register-cache lookups, d-cache probes,
+        writebacks and branch resolves; retire; issue; dispatch; the
+        two-level move engine. Every event lands in one per-cycle record
+        popped once, and a cycle with nothing scheduled costs a handful
+        of comparisons:
 
-    def _run_cycle(self) -> SimStats:
-        """Reference timing loop: tick every cycle.
-
-        The loop body is the simulator's hottest code: every dict and
-        attribute that is touched each cycle is hoisted into a local,
-        and each event queue is drained with a single ``pop`` probe
-        instead of a membership test plus lookup.
+        * retire runs only when the ROB head has issued and reached its
+          retirement cycle;
+        * dispatch sleeps until the cycle ``_dispatch`` reported as its
+          next possible change (``dispatch_wake``). While it sleeps the
+          loop credits exactly the stall counters the skipped calls
+          would have counted. Anything that can free a dispatch
+          resource — a retire, an issue, a two-level move, a branch
+          resolve — wakes it.
         """
         total = len(self.trace.records)
         config = self.config
         max_cycles = config.max_cycles
-        fills = self._fills
-        lookups = self._lookups
-        dcache_events = self._dcache_events
-        writebacks = self._writebacks
-        resolves = self._resolves
-        blocked = self._blocked
-        ready = self._ready
+        retire_delay = config.retire_delay
+        events = self._events
+        rob = self.rob
         two_level = self.two_level
         stats = self.stats
         process_fills = self._process_fills
@@ -339,296 +334,64 @@ class Pipeline:
         issue = self._issue
         dispatch = self._dispatch
         cycle = 0
-        while self.retired < total:
+        # Dispatch sleeps before dispatch_wake; dispatch_stall says what
+        # each slept cycle counts: 0 nothing, 1 a dispatch stall, 2 a
+        # dispatch stall plus a two-level rename stall.
+        dispatch_wake = 0
+        dispatch_stall = 0
+        blocked_until = 0
+        retired = 0
+        while retired < total:
             if cycle >= max_cycles:
                 raise SimulationError(
                     f"{self.trace.name}: exceeded {max_cycles} cycles "
-                    f"({self.retired}/{total} retired)"
+                    f"({retired}/{total} retired)"
                 )
-            self.cycle = cycle
-            events = fills.pop(cycle, None)
-            if events is not None:
-                process_fills(events, cycle)
-            events = lookups.pop(cycle, None)
-            if events is not None:
-                process_lookups(events, cycle)
-            events = dcache_events.pop(cycle, None)
-            if events is not None:
-                process_dcache(events, cycle)
-            events = writebacks.pop(cycle, None)
-            if events is not None:
-                process_writebacks(events, cycle)
-            events = resolves.pop(cycle, None)
-            if events is not None:
-                process_resolves(events, cycle)
-            retire(cycle)
-            group = ready.pop(cycle, None)
-            if blocked and cycle in blocked:
-                blocked.discard(cycle)
-                stats.issue_blocked_cycles += 1
-                if group:  # defer the whole group one cycle
-                    nxt = cycle + 1
-                    bucket = ready.get(nxt)
-                    if bucket is None:
-                        ready[nxt] = group
-                    else:
-                        bucket.extend(group)
-            elif group:
-                issue(group, cycle)
-            dispatch(cycle)
-            if two_level is not None:
-                two_level.tick(cycle)
+            record = events.pop(cycle, None)
+            if record is not None:
+                fills, lookups, dcache, writebacks, resolves, group, \
+                    blocked = record
+                if fills is not None:
+                    process_fills(fills, cycle)
+                if lookups is not None and process_lookups(lookups, cycle):
+                    blocked = True
+                if dcache is not None:
+                    process_dcache(dcache, cycle)
+                if writebacks is not None:
+                    process_writebacks(writebacks, cycle)
+                if resolves is not None:
+                    process_resolves(resolves, cycle)
+                    blocked_until = self._dispatch_blocked_until
+                    dispatch_wake = 0
+            if rob:
+                head = rob[0]
+                if head.status == _ISSUED \
+                        and cycle > head.exec_end + retire_delay:
+                    retired += retire(cycle)
+                    if dispatch_stall:
+                        dispatch_wake = 0
+            if record is not None:
+                if blocked:
+                    stats.issue_blocked_cycles += 1
+                    if group:  # defer the whole group one cycle
+                        for op in group:
+                            _push(events, cycle + 1, _READY, op)
+                elif group and issue(group, cycle) and dispatch_stall:
+                    dispatch_wake = 0
+            if cycle < blocked_until:
+                stats.rename_stall_cycles += 1
+            elif cycle >= dispatch_wake:
+                dispatch_wake, dispatch_stall = dispatch(cycle)
+            elif dispatch_stall:
+                stats.dispatch_stall_cycles += 1
+                if dispatch_stall == 2:
+                    two_level.note_rename_stall()
+            if two_level is not None and two_level.tick(cycle) \
+                    and dispatch_stall:
+                dispatch_wake = 0
             cycle += 1
 
-        self._finalize(cycle)
-        return self.stats
-
-    def _run_event(self) -> SimStats:
-        """Event-driven timing loop: jump straight to the next event.
-
-        Processes exactly the cycles the reference loop would do work
-        in, in the same order, and jumps over the rest. After each
-        processed cycle the next wake-up is the minimum over (DESIGN.md
-        §10 derives why this set is sufficient):
-
-        * the pending-event horizon (fills, lookups, d-cache probes,
-          writebacks, resolves, ready groups, blocked cycles — pushed
-          into the :class:`EventWheel` at every insertion),
-        * the ROB head's earliest retirement cycle,
-        * ``cycle + 1`` when dispatch made progress (the front end may
-          supply more) or the two-level move engine has eligible moves,
-        * the rename-unblock cycle when dispatch was recovery-blocked,
-        * the front end's next fetch-progress cycle (needed for timing
-          whenever an i-cache shares the hierarchy with the data side;
-          otherwise only when dispatch went idle), and its head's
-          ready-at cycle when dispatch went idle.
-
-        Per-cycle stall counters for the skipped span are credited in
-        bulk: every skipped cycle inside a rename-recovery window is a
-        ``rename_stall_cycle``, and every cycle skipped while dispatch
-        was resource-stalled (and the stall cannot clear before the next
-        event) is a ``dispatch_stall_cycle`` — exactly what the
-        reference loop would have counted one cycle at a time.
-        """
-        total = len(self.trace.records)
-        config = self.config
-        max_cycles = config.max_cycles
-        fills = self._fills
-        lookups = self._lookups
-        dcache_events = self._dcache_events
-        writebacks = self._writebacks
-        resolves = self._resolves
-        blocked = self._blocked
-        ready = self._ready
-        two_level = self.two_level
-        frontend = self.frontend
-        stats = self.stats
-        rob = self.rob
-        retire_delay = config.retire_delay
-        horizon = self._horizon
-        horizon_push = horizon.push
-        horizon_next = horizon.next_after
-        next_fetch_time = frontend.next_fetch_time
-        next_head_ready = frontend.next_head_ready
-        frontend_probe = frontend.next_ready
-        # Fetch-progress cycles only shape timing when instruction
-        # fetches contend with data accesses in a shared hierarchy;
-        # without an i-cache, deferring queue fills is side-effect-free.
-        fetch_sync = frontend.icache is not None
-        process_fills = self._process_fills
-        process_lookups = self._process_lookups
-        process_dcache = self._process_dcache
-        process_writebacks = self._process_writebacks
-        process_resolves = self._process_resolves
-        retire = self._retire
-        issue = self._issue
-        dispatch = self._dispatch
-        lazy_heap = self._lazy_heap
-        lazy_set = self._lazy_set
-        cycle = 0
-        action = 0
-        retire_next = -1
-        tl_moved = 0
-        while self.retired < total:
-            if cycle >= max_cycles:
-                raise SimulationError(
-                    f"{self.trace.name}: exceeded {max_cycles} cycles "
-                    f"({self.retired}/{total} retired)"
-                )
-            self.cycle = cycle
-            # ``dirty`` flags anything that can free a dispatch resource
-            # (window slot, ROB entry, physical/L1 register, recovery
-            # state); while it stays False a resource-stalled dispatch
-            # would replay the exact same probe, so the call is skipped
-            # and its per-cycle stall accounting applied directly. The
-            # two-level move engine ticks *after* dispatch, so slots it
-            # freed last cycle dirty this one.
-            dirty = tl_moved > 0
-            # Replay skipped-over fills and writebacks in key order with
-            # their original timestamps. Between two processed cycles no
-            # state either event kind reads or writes can change (every
-            # reader/writer of storage state — lookups, retire-time
-            # frees, issue — runs only in processed cycles), so landing
-            # them here is indistinguishable from the reference loop
-            # having processed each key on time. A key equal to *cycle*
-            # is left to the in-order pops below so same-cycle ordering
-            # against lookups and retire stays exact.
-            while lazy_heap and lazy_heap[0] < cycle:
-                at = heappop(lazy_heap)
-                lazy_set.discard(at)
-                events = fills.pop(at, None)
-                if events is not None:
-                    process_fills(events, at)
-                events = writebacks.pop(at, None)
-                if events is not None:
-                    process_writebacks(events, at)
-            events = fills.pop(cycle, None)
-            if events is not None:
-                process_fills(events, cycle)
-            events = lookups.pop(cycle, None)
-            if events is not None:
-                process_lookups(events, cycle)
-            events = dcache_events.pop(cycle, None)
-            if events is not None:
-                process_dcache(events, cycle)
-            events = writebacks.pop(cycle, None)
-            if events is not None:
-                process_writebacks(events, cycle)
-            events = resolves.pop(cycle, None)
-            if events is not None:
-                process_resolves(events, cycle)
-                dirty = True
-            if 0 <= retire_next <= cycle:
-                # Before ``retire_next`` the head provably cannot retire
-                # (its exec_end only ever grows), so the call would be a
-                # no-op; -1 means the head has not issued yet and the
-                # refresh probe below re-arms the hint when it does.
-                before = self.retired
-                retire_next = retire(cycle)
-                if self.retired != before:
-                    dirty = True
-            group = ready.pop(cycle, None)
-            if blocked and cycle in blocked:
-                blocked.discard(cycle)
-                stats.issue_blocked_cycles += 1
-                if group:  # defer the whole group one cycle
-                    nxt = cycle + 1
-                    bucket = ready.get(nxt)
-                    if bucket is None:
-                        ready[nxt] = group
-                    else:
-                        bucket.extend(group)
-                    horizon_push(nxt)
-            elif group:
-                issue(group, cycle)
-                dirty = True
-            if (action == 2 or action == 4) and not dirty:
-                # Unchanged resource stall: the reference loop's dispatch
-                # would re-probe the same full queue, count one stall
-                # cycle, and change nothing else. The probe itself is
-                # kept when an i-cache shares the memory hierarchy so
-                # instruction fetch keeps issuing its accesses on the
-                # same cycles as the reference loop.
-                if fetch_sync:
-                    frontend_probe(cycle)
-                stats.dispatch_stall_cycles += 1
-                if action == 4:
-                    two_level.note_rename_stall()
-            else:
-                action = dispatch(cycle)
-            tl_moved = 0
-            if two_level is not None:
-                tl_moved = two_level.tick(cycle)
-            if self.retired >= total:
-                cycle += 1
-                break
-
-            # ---- next wake-up: min over everything that can happen ----
-            if retire_next < 0 and rob:
-                # The head may have issued *after* _retire ran this
-                # cycle (issue and dispatch come later in the cycle
-                # order); without this refresh its retirement would
-                # never be scheduled when no other event is pending.
-                head = rob[0]
-                if head.status == _ISSUED:
-                    eligible = head.exec_end + 1 + retire_delay
-                    retire_next = eligible if eligible > cycle else cycle + 1
-            wake = horizon_next(cycle)
-            if wake is None:
-                wake = max_cycles
-            if 0 <= retire_next < wake:
-                wake = retire_next
-            if action == 1 or action == 5:
-                # Dispatched a full width (1) or dispatched into a stall
-                # (5): more may be consumable immediately.
-                if cycle + 1 < wake:
-                    wake = cycle + 1
-            elif action == 3:  # recovery-blocked until a known cycle
-                bu = self._dispatch_blocked_until
-                if bu < wake:
-                    wake = bu
-            else:  # idle (0/6) or resource-stalled (2/4)
-                if fetch_sync or action == 0 or action == 6:
-                    fetch_at = next_fetch_time(cycle)
-                    if 0 <= fetch_at < wake:
-                        wake = fetch_at
-                if action == 0 or action == 6:
-                    head_at = next_head_ready(cycle)
-                    if 0 <= head_at < wake:
-                        wake = head_at
-            if two_level is not None and (
-                two_level.pending_moves()
-                # The move engine ran *after* dispatch stalled on L1
-                # allocation; the slots it just freed make dispatch
-                # possible next cycle.
-                or (action == 4 and tl_moved)
-            ):
-                if cycle + 1 < wake:
-                    wake = cycle + 1
-            if wake <= cycle:
-                wake = cycle + 1
-            elif wake > max_cycles:
-                wake = max_cycles
-            skipped = wake - cycle - 1
-            if skipped > 0:
-                if action == 3:
-                    # wake <= _dispatch_blocked_until: the whole span is
-                    # inside the recovery window.
-                    stats.rename_stall_cycles += skipped
-                elif action == 2:
-                    stats.dispatch_stall_cycles += skipped
-                elif action == 4:
-                    # Two-level L1 allocation stall: the reference loop
-                    # counts both a dispatch stall and a two-level
-                    # rename stall every such cycle.
-                    stats.dispatch_stall_cycles += skipped
-                    two_level.note_rename_stall(skipped)
-            cycle = wake
-
-        # Land any fills/writebacks the reference loop would still have
-        # processed before the final cycle (none should remain in
-        # practice — every writeback key is bounded by its op's retire
-        # cycle — but the drain keeps finalize-time storage statistics
-        # exact by construction rather than by argument).
-        while lazy_heap and lazy_heap[0] < cycle:
-            at = heappop(lazy_heap)
-            lazy_set.discard(at)
-            events = fills.pop(at, None)
-            if events is not None:
-                process_fills(events, at)
-            events = writebacks.pop(at, None)
-            if events is not None:
-                process_writebacks(events, at)
-        if blocked:
-            # Load-replay squash cycles the scheduler never had a reason
-            # to visit: the reference loop would have reached each one
-            # and counted it (processed ones were counted and discarded
-            # above).
-            final = cycle
-            stats.issue_blocked_cycles += sum(
-                1 for c in blocked if c < final
-            )
-            blocked.clear()
+        self.retired = retired
         self._finalize(cycle)
         return self.stats
 
@@ -636,14 +399,14 @@ class Pipeline:
     # Event processing.
 
     def _process_fills(self, events: list[tuple[int, int]], now: int) -> None:
-        pinfo = self.pinfo
+        producers = self.producers
         cache = self.cache
         if cache is None:
             return
         fill_default = self.config.fill_default
         cache_write = cache.write
         for preg, assigned_set in events:
-            if pinfo[preg] is not None:
+            if producers[preg] is not None:
                 cache_write(
                     preg, assigned_set, fill_default,
                     pinned=False, now=now, is_fill=True,
@@ -651,27 +414,28 @@ class Pipeline:
 
     def _process_lookups(
         self, events: list[tuple[_Op, int, int]], now: int
-    ) -> None:
+    ) -> bool:
+        """Probe the register cache; True when a miss blocks issue now."""
         cache = self.cache
         backing = self.backing
         assert cache is not None and backing is not None
-        pinfo = self.pinfo
-        fills = self._fills
+        producers = self.producers
         stats = self.stats
-        horizon = self._horizon
         lookup = cache.lookup
         write_latency = backing.write_latency
+        missed = False
         for op, preg, assigned_set in events:
             if lookup(preg, assigned_set, now):
                 continue
             # Miss: squash this cycle's issue group and fetch the value
             # from the backing file (paper §5.2 replay model).
             stats.rc_miss_events += 1
-            self._blocked.add(now)
-            producer = pinfo[preg]
+            missed = True
+            producer = producers[preg]
             written_at = (
                 producer.exec_end + 1 + write_latency
-                if producer is not None and producer.issued else now
+                if producer is not None and producer.status == _ISSUED
+                else now
             )
             available = backing.schedule_read(now + 1, written_at)
             if available > op.exec_start:
@@ -679,21 +443,9 @@ class Pipeline:
                 op.exec_start = available
                 op.exec_end = available + latency
                 if op.dest_preg >= 0:
-                    dest_info = pinfo[op.dest_preg]
-                    if dest_info is not None:
-                        dest_info.exec_end = op.exec_end
-                        self._pepoch += 1
-            bucket = fills.get(available)
-            if bucket is None:
-                fills[available] = [(preg, assigned_set)]
-            else:
-                bucket.append((preg, assigned_set))
-            if horizon is not None:
-                # Fills only write the cache; drained lazily, no wake.
-                lazy_set = self._lazy_set
-                if available not in lazy_set:
-                    lazy_set.add(available)
-                    heappush(self._lazy_heap, available)
+                    self._pepoch += 1
+            _push(self._events, available, _FILLS, (preg, assigned_set))
+        return missed
 
     def _process_dcache(self, events: list[_Op], now: int) -> None:
         # Probed the cycle after issue: strictly before the earliest
@@ -701,9 +453,7 @@ class Pipeline:
         # schedule against a stale hit-assumed latency.
         memory = self.memory
         assert memory is not None
-        pinfo = self.pinfo
         stats = self.stats
-        blocked = self._blocked
         load = memory.load
         read_latency = self.read_latency
         for op in events:
@@ -711,47 +461,24 @@ class Pipeline:
             if extra:
                 op.exec_end += extra
                 if op.dest_preg >= 0:
-                    dest_info = pinfo[op.dest_preg]
-                    if dest_info is not None:
-                        dest_info.exec_end = op.exec_end
-                        self._pepoch += 1
+                    self._pepoch += 1
                 # Load-hit speculation replay: the squash loop contains
                 # the register read, so its cost scales with read latency.
                 stats.load_miss_replays += 1
-                # The squash cycles are deliberately NOT pushed into the
-                # event horizon: a blocked cycle with no ready group has
-                # no effect beyond its stall count, which the event loop
-                # credits lazily (groups push their own cycles, so any
-                # blocked cycle that must defer one is still processed).
                 detection = now + 3  # tag check, just before would-be data
                 for offset in range(read_latency):
-                    blocked.add(detection + offset)
+                    _push(self._events, detection + offset, _BLOCKED, op)
 
     def _process_writebacks(self, events: list[_Op], now: int) -> None:
-        pinfo = self.pinfo
         cache = self.cache
         rf = self.rf
         tracer = self.tracer
-        writebacks = self._writebacks
-        horizon = self._horizon
         for op in events:
             requeue_at = op.exec_end + 1
             if requeue_at != now:
-                bucket = writebacks.get(requeue_at)
-                if bucket is None:
-                    writebacks[requeue_at] = [op]
-                else:
-                    bucket.append(op)
-                if horizon is not None:
-                    lazy_set = self._lazy_set
-                    if requeue_at not in lazy_set:
-                        lazy_set.add(requeue_at)
-                        heappush(self._lazy_heap, requeue_at)
+                _push(self._events, requeue_at, _WRITEBACKS, op)
                 continue
             preg = op.dest_preg
-            info = pinfo[preg]
-            if info is None:  # pragma: no cover - freed before write
-                continue
             if tracer is not None:
                 tracer.emit(
                     "writeback", "pipeline", now,
@@ -759,13 +486,8 @@ class Pipeline:
                 )
             if cache is not None:
                 self.backing.record_write()
-                ctx = WriteContext(
-                    pred_uses=op.pred_eff,
-                    bypassed_first_stage=info.bypass_first,
-                    pinned=op.pinned,
-                )
-                if self.insertion.should_insert(ctx):
-                    remaining = op.pred_eff - info.bypass_total
+                if self.insertion.admit(op.pred_eff, op.bypass_first, op.pinned):
+                    remaining = op.pred_eff - op.bypass_total
                     cache.write(
                         preg, op.dest_set,
                         remaining if remaining > 0 else 0, op.pinned, now,
@@ -776,18 +498,10 @@ class Pipeline:
                 rf.record_write()
 
     def _process_resolves(self, events: list[_Op], now: int) -> None:
-        resolves = self._resolves
-        horizon = self._horizon
         for op in events:
             requeue_at = op.exec_end + 1
             if requeue_at != now:
-                bucket = resolves.get(requeue_at)
-                if bucket is None:
-                    resolves[requeue_at] = [op]
-                else:
-                    bucket.append(op)
-                if horizon is not None:
-                    horizon.push(requeue_at)
+                _push(self._events, requeue_at, _RESOLVES, op)
                 continue
             self.frontend.resume(now)
             self.stats.branch_mispredicts += 1
@@ -805,33 +519,30 @@ class Pipeline:
     # Retire.
 
     def _retire(self, now: int) -> int:
-        """Retire eligible ROB-head ops; returns the event core's hint.
-
-        The return value is the earliest future cycle at which retire
-        could make further progress: ``-1`` when nothing can retire
-        until some other event happens first (empty ROB, or a head that
-        has not issued — its issue is already a pending event), the
-        head's earliest-retirement cycle when it has issued but is not
-        yet eligible, and ``now + 1`` when retirement stopped on a
-        same-cycle resource limit (width, store slots, store buffer).
-        The reference loop ignores the value.
-        """
+        """Retire eligible ROB-head ops, up to the retire width, freeing
+        the physical register each one displaced from the rename map;
+        returns how many retired."""
         rob = self.rob
-        if not rob:
-            return -1
         config = self.config
         retire_width = config.retire_width
         retire_delay = config.retire_delay
         max_store_retire = config.max_store_retire
         memory = self.memory
-        free_preg = self._free_preg
+        producers = self.producers
+        predictor = self.predictor
+        tracer = self.tracer
+        cache = self.cache
+        index_policy = self.index_policy
+        two_level = self.two_level
+        preg_allocated = self._preg_allocated
+        free_pregs = self._free_pregs
+        lifetimes = self.stats.lifetimes
+        fcf = self.fcf
         retired_this = 0
         stores_this = 0
         while rob and retired_this < retire_width:
             op = rob[0]
-            if op.status != _ISSUED:
-                break
-            if now < op.exec_end + 1 + retire_delay:
+            if op.status != _ISSUED or now <= op.exec_end + retire_delay:
                 break
             if op.dyn.is_store:
                 if stores_this >= max_store_retire:
@@ -843,67 +554,58 @@ class Pipeline:
                 stores_this += 1
             rob.popleft()
             retired_this += 1
-            self.retired += 1
-            if op.prev_preg >= 0:
-                free_preg(op.prev_preg, now)
-        if not rob:
-            return -1
-        head = rob[0]
-        if head.status != _ISSUED:
-            return -1
-        eligible_at = head.exec_end + 1 + retire_delay
-        return eligible_at if eligible_at > now else now + 1
-
-    def _free_preg(self, preg: int, now: int) -> None:
-        info = self.pinfo[preg]
-        if info is None:
-            raise SimulationError(f"freeing preg {preg} with no info")
-        write_time = info.exec_end + 1
-        last_read = max(info.last_read, write_time)
-        self.stats.lifetimes.append(
-            LifetimeRecord(info.alloc_time, write_time, last_read, now)
-        )
-        if self.predictor is not None:
-            self.predictor.train(info.pc, info.fcf, info.uses_renamed)
-            self.predictor.record_outcome(info.predicted, info.uses_renamed)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "dou_train", "predictor", now,
-                    args={"pc": info.pc, "actual": info.uses_renamed,
-                          "predicted": info.predicted},
+            preg = op.prev_preg
+            if preg < 0:
+                continue
+            producer = producers[preg]
+            if producer is None:
+                raise SimulationError(f"freeing preg {preg} with no producer")
+            if lifetimes is not None:
+                write_time = producer.exec_end + 1
+                last_read = max(producer.last_read, write_time)
+                lifetimes.append(LifetimeRecord(
+                    producer.alloc_time, write_time, last_read, now
+                ))
+            if predictor is not None:
+                pc = producer.dyn.pc
+                uses = producer.uses_renamed
+                predictor.train(pc, fcf[producer.seq], uses)
+                predictor.record_outcome(producer.predicted, uses)
+                if tracer is not None:
+                    tracer.emit(
+                        "dou_train", "predictor", now,
+                        args={"pc": pc, "actual": uses,
+                              "predicted": producer.predicted},
+                    )
+            if cache is not None:
+                cache.invalidate(preg, now)
+                index_policy.release(producer.dest_set, producer.pred_eff)
+            if two_level is not None:
+                two_level.free(preg)
+            if not preg_allocated[preg]:
+                raise RenameError(
+                    f"freeing unallocated physical register {preg}"
                 )
-        if self.cache is not None:
-            self.cache.invalidate(preg, now)
-            self.index_policy.release(info.assigned_set, info.pred_eff)
-        if self.two_level is not None:
-            self.two_level.free(preg)
-        self.freelist.release(preg)
-        self.pinfo[preg] = None
+            preg_allocated[preg] = False
+            free_pregs.append(preg)
+            producers[preg] = None
+        return retired_this
 
     # ------------------------------------------------------------------
     # Issue.
 
-    def _bucket(self, op: _Op, when: int) -> None:
-        ready = self._ready
-        bucket = ready.get(when)
-        if bucket is None:
-            ready[when] = [op]
-        else:
-            bucket.append(op)
-        if self._horizon is not None:
-            self._horizon.push(when)
-
-    def _issue(self, candidates: list[_Op], now: int) -> None:
+    def _issue(self, candidates: list[_Op], now: int) -> int:
         """Issue up to ``issue_width`` ready ops from this cycle's group.
 
-        Operand classification (inlined in the source loop below for
-        speed): for a producer completing at ``exec_end``, a consumer
-        may issue from ``exec_end - read_latency`` (first-stage bypass,
-        kind 1), through the remaining bypass stages (kind 2), and from
-        storage (kind 3) once the value is written back — cache/L1 at
-        ``exec_end + 1``, monolithic file at ``exec_end + W - R`` with
-        read-during-write forwarding. Kind 0 = not ready yet; an
-        unissued (or freed) producer defers the consumer to ``now + 1``.
+        Returns the number issued. Operand classification (inlined in
+        the source loop below for speed): for a producer completing at
+        ``exec_end``, a consumer may issue from ``exec_end -
+        read_latency`` (first-stage bypass, kind 1), through the
+        remaining bypass stages (kind 2), and from storage (kind 3) once
+        the value is written back — cache/L1 at ``exec_end + 1``,
+        monolithic file at ``exec_end + W - R`` with read-during-write
+        forwarding. Kind 0 = not ready yet; an unissued (or freed)
+        producer defers the consumer to ``now + 1``.
         """
         # Groups are usually appended in seq order already; only sort
         # when an out-of-order append actually happened.
@@ -914,10 +616,10 @@ class Pipeline:
                 candidates.sort(key=_op_seq)
                 break
             prev_seq = seq
-        config = self.config
-        issue_width = config.issue_width
-        fu_counts = config.fu_counts
-        pinfo = self.pinfo
+        issue_width = self.config.issue_width
+        fu_class = self._fu_class
+        fu_limits = self._fu_limits
+        producers = self.producers
         read_latency = self.read_latency
         bypass_stages = self.bypass_stages
         rf = self.rf
@@ -926,22 +628,23 @@ class Pipeline:
         storage_delta = (
             rf.write_latency - rf.read_latency if rf is not None else 1
         )
-        ready = self._ready
-        horizon = self._horizon
-        fu_used: dict[OpClass, int] = {}
+        events = self._events
+        stats = self.stats
+        cache = self.cache
+        two_level = self.two_level
+        load_memory = self.memory is not None
+        record_lifetimes = self.record_lifetimes
+        record_timing = self.config.record_timing
+        tracer = self.tracer
+        earliest_of = self._earliest
+        fu_used = [0] * len(fu_limits)
         issued = 0
-        do_issue = self._do_issue
+        # Operand-source counters, added to the stats once at the end.
+        n_bypass = n_bypass_first = n_storage = n_rf_reads = 0
         for position, op in enumerate(candidates):
             if issued >= issue_width:
-                nxt = now + 1
-                bucket = ready.get(nxt)
-                leftovers = candidates[position:]
-                if bucket is None:
-                    ready[nxt] = leftovers
-                else:
-                    bucket.extend(leftovers)
-                if horizon is not None:
-                    horizon.push(nxt)
+                for leftover in candidates[position:]:
+                    _push(events, now + 1, _READY, leftover)
                 break
             # Readiness-memo fast path: earliest_value is a sound lower
             # bound on this op's issue cycle (producer exec_end values
@@ -949,14 +652,7 @@ class Pipeline:
             # the source scan can be skipped entirely.
             if now < op.earliest_value:
                 self.earliest_memo_hits += 1
-                when = op.earliest_value
-                bucket = ready.get(when)
-                if bucket is None:
-                    ready[when] = [op]
-                else:
-                    bucket.append(op)
-                if horizon is not None:
-                    horizon.push(when)
+                _push(events, op.earliest_value, _READY, op)
                 continue
             kinds: list[int] = []
             kinds_append = kinds.append
@@ -966,8 +662,8 @@ class Pipeline:
                 if preg < 0:
                     kinds_append(-1)
                     continue
-                info = pinfo[preg]
-                if info is None or not info.issued:
+                producer = producers[preg]
+                if producer is None or producer.status != _ISSUED:
                     # Producer not yet issued (waiters should prevent
                     # this) or already freed; not ready until next cycle.
                     is_ready = False
@@ -975,7 +671,7 @@ class Pipeline:
                     if when > next_time:
                         next_time = when
                     break
-                exec_end = info.exec_end
+                exec_end = producer.exec_end
                 earliest = exec_end - read_latency
                 if now < earliest:
                     is_ready = False
@@ -998,134 +694,85 @@ class Pipeline:
                 when = next_time if next_time > now + 1 else now + 1
                 op.earliest_value = when
                 op.earliest_epoch = self._pepoch
-                bucket = ready.get(when)
-                if bucket is None:
-                    ready[when] = [op]
-                else:
-                    bucket.append(op)
-                if horizon is not None:
-                    horizon.push(when)
+                _push(events, when, _READY, op)
                 continue
-            op_class = op.dyn.op_class
-            used = fu_used.get(op_class, 0)
-            if used >= fu_counts.get(op_class, 1):
-                nxt = now + 1
-                bucket = ready.get(nxt)
-                if bucket is None:
-                    ready[nxt] = [op]
-                else:
-                    bucket.append(op)
-                if horizon is not None:
-                    horizon.push(nxt)
+            op_class = fu_class[op.seq]
+            used = fu_used[op_class]
+            if used >= fu_limits[op_class]:
+                _push(events, now + 1, _READY, op)
                 continue
             fu_used[op_class] = used + 1
             issued += 1
-            do_issue(op, now, kinds)
 
-    def _do_issue(self, op: _Op, now: int, kinds: list[int]) -> None:
-        stats = self.stats
-        pinfo = self.pinfo
-        cache = self.cache
-        rf = self.rf
-        two_level = self.two_level
-        horizon = self._horizon
-        op.status = _ISSUED
-        op.issue_time = now
-        exec_start = now + 1 + self.read_latency
-        op.exec_start = exec_start
-        exec_end = exec_start + op.dyn.latency - 1
-        op.exec_end = exec_end
-        self.window_count -= 1
-        if self.config.record_timing:
-            self.issue_log[op.seq] = op
-        if self.tracer is not None:
-            self.tracer.emit(
-                "issue", "pipeline", now,
-                duration=max(1, exec_end - now),
-                args={"pc": op.dyn.pc, "seq": op.seq},
-            )
+            # Issue: execute from now + 1 + read latency; account each
+            # operand's source, schedule storage reads, the writeback
+            # and waking the consumers.
+            dyn = op.dyn
+            op.status = _ISSUED
+            op.issue_time = now
+            exec_start = now + 1 + read_latency
+            op.exec_start = exec_start
+            exec_end = exec_start + dyn.latency - 1
+            op.exec_end = exec_end
+            if record_timing:
+                self.issue_log[op.seq] = op
+            if tracer is not None:
+                tracer.emit(
+                    "issue", "pipeline", now,
+                    duration=max(1, exec_end - now),
+                    args={"pc": dyn.pc, "seq": op.seq},
+                )
+            for (preg, assigned_set), kind in zip(op.sources, kinds):
+                if kind < 0:
+                    continue
+                producer = producers[preg]
+                if kind == 1:
+                    producer.bypass_first += 1
+                    producer.bypass_total += 1
+                    n_bypass += 1
+                    n_bypass_first += 1
+                elif kind == 2:
+                    producer.bypass_total += 1
+                    n_bypass += 1
+                else:
+                    n_storage += 1
+                    if cache is not None:
+                        _push(
+                            events, now + 1, _LOOKUPS,
+                            (op, preg, assigned_set),
+                        )
+                    elif rf is not None:
+                        rf.record_read()
+                        n_rf_reads += 1
+                if record_lifetimes and producer.last_read < exec_start:
+                    producer.last_read = exec_start
+                if two_level is not None:
+                    two_level.consumer_executed(preg, now)
 
-        for (preg, assigned_set), kind in zip(op.sources, kinds):
-            if kind < 0:
-                continue
-            info = pinfo[preg]
-            if kind == 1:
-                info.bypass_first += 1
-                info.bypass_total += 1
-                stats.operands_bypass += 1
-                stats.operands_bypass_first += 1
-            elif kind == 2:
-                info.bypass_total += 1
-                stats.operands_bypass += 1
-            else:
-                stats.operands_storage += 1
-                if cache is not None:
-                    lookups = self._lookups
-                    nxt = now + 1
-                    bucket = lookups.get(nxt)
-                    if bucket is None:
-                        lookups[nxt] = [(op, preg, assigned_set)]
-                    else:
-                        bucket.append((op, preg, assigned_set))
-                    if horizon is not None:
-                        horizon.push(nxt)
-                elif rf is not None:
-                    rf.record_read()
-                    stats.rf_reads += 1
-            if info.last_read < exec_start:
-                info.last_read = exec_start
-            if two_level is not None:
-                two_level.consumer_executed(preg, now)
-
-        if op.dest_preg >= 0:
-            dest_info = pinfo[op.dest_preg]
-            dest_info.issued = True
-            dest_info.exec_end = exec_end
-            self._pepoch += 1
-            writebacks = self._writebacks
-            wb_at = exec_end + 1
-            bucket = writebacks.get(wb_at)
-            if bucket is None:
-                writebacks[wb_at] = [op]
-            else:
-                bucket.append(op)
-            if horizon is not None:
-                # Writebacks are drained lazily (see _run_event): no wake.
-                lazy_set = self._lazy_set
-                if wb_at not in lazy_set:
-                    lazy_set.add(wb_at)
-                    heappush(self._lazy_heap, wb_at)
-            waiters = dest_info.waiters
-            if waiters:
-                bucket_op = self._bucket
-                earliest_of = self._earliest
-                floor = now + 1
-                for waiter in waiters:
-                    waiter.unready -= 1
-                    if waiter.unready == 0:
-                        when = earliest_of(waiter)
-                        bucket_op(waiter, when if when > floor else floor)
-                dest_info.waiters = []
-        if op.dyn.is_load and self.memory is not None:
-            events = self._dcache_events
-            nxt = now + 1
-            bucket = events.get(nxt)
-            if bucket is None:
-                events[nxt] = [op]
-            else:
-                bucket.append(op)
-            if horizon is not None:
-                horizon.push(nxt)
-        if op.mispredicted:
-            resolves = self._resolves
-            at = exec_end + 1
-            bucket = resolves.get(at)
-            if bucket is None:
-                resolves[at] = [op]
-            else:
-                bucket.append(op)
-            if horizon is not None:
-                horizon.push(at)
+            if op.dest_preg >= 0:
+                self._pepoch += 1
+                _push(events, exec_end + 1, _WRITEBACKS, op)
+                waiters = op.waiters
+                op.waiters = None  # nothing waits on an issued producer
+                if waiters:
+                    for waiter in waiters:
+                        waiter.unready -= 1
+                        if waiter.unready == 0:
+                            when = earliest_of(waiter)
+                            _push(
+                                events, when if when > now else now + 1,
+                                _READY, waiter,
+                            )
+            if load_memory and dyn.is_load:
+                _push(events, now + 1, _DCACHE, op)
+            if op.mispredicted:
+                _push(events, exec_end + 1, _RESOLVES, op)
+        stats.operands_bypass += n_bypass
+        stats.operands_bypass_first += n_bypass_first
+        stats.operands_storage += n_storage
+        stats.rf_reads += n_rf_reads
+        self.window_count -= issued
+        return issued
 
     def _earliest(self, op: _Op) -> int:
         """Earliest first-stage-bypass cycle over *op*'s issued producers.
@@ -1143,15 +790,15 @@ class Pipeline:
             return op.earliest_value
         self.earliest_memo_misses += 1
         earliest = 0
-        pinfo = self.pinfo
+        producers = self.producers
         read_latency = self.read_latency
         for preg, _assigned in op.sources:
             if preg < 0:
                 continue
-            info = pinfo[preg]
-            if info is None or not info.issued:
+            producer = producers[preg]
+            if producer is None or producer.status != _ISSUED:
                 continue
-            candidate = info.exec_end - read_latency
+            candidate = producer.exec_end - read_latency
             if candidate > earliest:
                 earliest = candidate
         op.earliest_epoch = epoch
@@ -1161,52 +808,63 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Dispatch.
 
-    def _dispatch(self, now: int) -> int:
-        """Dispatch up to the width; returns the event core's hint.
+    def _dispatch(self, now: int) -> tuple[int, int]:
+        """Dispatch (rename, predict, enter window and ROB) up to the
+        width; returns ``(wake, stall)`` for the cycle loop.
 
-        ``0`` — idle: nothing was dispatchable this cycle.
-        ``1`` — full width dispatched: more may be consumable next
-        cycle.
-        ``2`` — stalled: something was dispatchable but a resource
-        (window, ROB, physical registers) blocked it before anything
-        dispatched.
-        ``3`` — recovery-blocked until ``_dispatch_blocked_until``.
-        ``4`` — stalled on two-level L1 allocation specifically (like
-        ``2``, but each such cycle also counts a two-level rename
-        stall, which the event core must replicate for skipped spans).
-        ``5`` — dispatched some, then hit a resource stall (needs a
-        ``cycle + 1`` retry like ``1``, and counted one dispatch
-        stall).
-        ``6`` — dispatched everything consumable with budget to spare:
-        dispatch goes idle until the front end supplies more (same
-        wake-up rule as ``0``).
-        The reference loop ignores the value.
+        ``wake`` is the first cycle at which calling again could do
+        anything new, given that no dispatch resource is freed and no
+        branch resolves first (the loop wakes dispatch early for those);
+        ``stall`` is what each cycle before it counts: 0 nothing, 1 a
+        dispatch stall, 2 a dispatch stall plus a two-level rename
+        stall. After any progress the answer is ``(now + 1, 0)``.
+        Otherwise nothing changes until the front end can fetch more or
+        its head becomes ready (:meth:`FrontEnd.wake_after`).
         """
         config = self.config
-        if now < self._dispatch_blocked_until:
-            self.stats.rename_stall_cycles += 1
-            return 3
         budget = config.dispatch_width
         window_size = config.window_size
         rob_size = config.rob_size
+        max_use = config.max_use
+        unknown_default = config.unknown_default
+        pin_at_max = config.pin_at_max
+        record_timing = config.record_timing
         frontend = self.frontend
         next_ready = frontend.next_ready
-        pop_next = frontend.pop_next
-        dispatch_one = self._dispatch_one
+        queue = frontend.queue
         two_level = self.two_level
-        freelist = self.freelist
+        predictor = self.predictor
+        tracer = self.tracer
+        assign_set = self._assign_set
+        free_pregs = self._free_pregs
+        preg_allocated = self._preg_allocated
+        arch_map = self._arch_map
+        producers = self.producers
+        fcf = self.fcf
+        events = self._events
+        read_latency = self.read_latency
         rob = self.rob
-        stalled = False
-        tl_stall = False
+        rob_append = rob.append
+        window_count = self.window_count
+        rob_count = len(rob)
+        stall = 0
         dispatched = False
-        while budget > 0:
-            if self.window_count >= window_size or len(rob) >= rob_size:
-                stalled = next_ready(now) is not None
+        # One front-end probe per dispatch slot, as the stage consumes
+        # its queue. Only the first probe's fill can fetch anything
+        # unless it stopped on a full queue: then every pop makes room
+        # and each later probe must fill again.
+        fetched = next_ready(now)
+        refill = len(queue) >= frontend.queue_capacity
+        while True:
+            if window_count >= window_size or rob_count >= rob_size:
+                if fetched is not None:
+                    stall = 1
                 break
-            fetched = next_ready(now)
             if fetched is None:
                 break
-            if fetched.dyn.writes_register:
+            dyn = fetched.dyn
+            dest = dyn.dest
+            if dest is not None:
                 if two_level is not None:
                     if not two_level.can_allocate():
                         if not rob:
@@ -1220,24 +878,142 @@ class Pipeline:
                                 "register demand"
                             )
                         two_level.note_rename_stall()
-                        stalled = True
-                        tl_stall = True
+                        stall = 2
                         break
-                elif freelist.free_count <= self._wrongpath_reserved:
-                    stalled = True
+                elif len(free_pregs) <= self._wrongpath_reserved:
+                    stall = 1
                     break
-            pop_next()
-            dispatch_one(fetched, now)
+            queue.popleft()
             dispatched = True
+
+            seq = dyn.seq
+            op = _Op(seq, dyn)
+            if fetched.mispredicted:
+                op.mispredicted = True
+                self._reserve_wrongpath()
+            if tracer is not None:
+                tracer.emit(
+                    "fetch", "pipeline", fetched.ready_at,
+                    args={"pc": dyn.pc, "seq": seq},
+                )
+                tracer.emit(
+                    "rename", "pipeline", now,
+                    args={"pc": dyn.pc, "seq": seq},
+                )
+
+            # Rename: look the sources up in the map, then allocate the
+            # destination and install its mapping.
+            sources = []
+            for arch in dyn.sources:
+                if not 0 <= arch < NUM_ARCH_REGS:
+                    raise RenameError(
+                        f"architectural register {arch} out of range"
+                    )
+                mapping = arch_map[arch]
+                sources.append(_NO_SOURCE if mapping is None else mapping)
+            op.sources = sources
+
+            if dest is not None:
+                predicted = None
+                if predictor is not None:
+                    predicted = predictor.predict(dyn.pc, fcf[seq])
+                    if tracer is not None:
+                        tracer.emit(
+                            "dou_predict", "predictor", now,
+                            args={"pc": dyn.pc, "predicted": predicted},
+                        )
+                    op.predicted = predicted
+                raw = unknown_default if predicted is None else predicted
+                pred_eff = raw if raw < max_use else max_use
+                pinned = bool(
+                    pin_at_max and predicted is not None
+                    and pred_eff == max_use
+                )
+                op.pred_eff = pred_eff
+                op.pinned = pinned
+
+                if not free_pregs:
+                    raise RenameError("physical register freelist exhausted")
+                dest_preg = free_pregs.pop()
+                preg_allocated[dest_preg] = True
+                dest_set = -1 if assign_set is None else assign_set(pred_eff)
+                if not 0 <= dest < NUM_ARCH_REGS:
+                    raise RenameError(
+                        f"architectural register {dest} out of range"
+                    )
+                displaced = arch_map[dest]
+                arch_map[dest] = (dest_preg, dest_set)
+                op.dest_preg = dest_preg
+                op.dest_set = dest_set
+
+                op.alloc_time = now
+                op.uses_renamed = 0
+                op.bypass_first = 0
+                op.bypass_total = 0
+                op.last_read = -1
+                op.waiters = []
+                producers[dest_preg] = op
+                if two_level is not None:
+                    two_level.allocate(dest_preg)
+                if displaced is not None:
+                    prev_preg = displaced[0]
+                    op.prev_preg = prev_preg
+                    if two_level is not None:
+                        two_level.reassigned(prev_preg, now)
+
+            # Count each producer's renamed uses and wait on the ones
+            # not yet issued (after the destination is in place: the
+            # two-level move engine sees reassignment before the new
+            # pending consumer, as rename orders them).
+            if record_timing:
+                op.src_producer_seqs = tuple(
+                    producers[preg].seq if preg >= 0 else -1
+                    for preg, _assigned in sources
+                )
+            unready = 0
+            earliest = 0
+            for preg, _assigned in sources:
+                if preg < 0:
+                    continue
+                producer = producers[preg]
+                producer.uses_renamed += 1
+                if two_level is not None:
+                    two_level.add_pending_consumer(preg)
+                if producer.status == _ISSUED:
+                    # The _earliest bound, computed in the same pass.
+                    candidate = producer.exec_end - read_latency
+                    if candidate > earliest:
+                        earliest = candidate
+                else:
+                    producer.waiters.append(op)
+                    unready += 1
+            op.unready = unready
+            if unready == 0:
+                self.earliest_memo_misses += 1
+                op.earliest_epoch = self._pepoch
+                op.earliest_value = earliest
+                _push(
+                    events, earliest if earliest > now else now + 1,
+                    _READY, op,
+                )
+            rob_append(op)
+            rob_count += 1
+            window_count += 1
             budget -= 1
-        if stalled:
+            if budget <= 0:
+                break
+            if refill:
+                fetched = next_ready(now)
+            elif queue and queue[0].ready_at <= now:
+                fetched = queue[0]
+            else:
+                fetched = None
+        self.window_count = window_count
+        if stall:
             self.stats.dispatch_stall_cycles += 1
-            if not dispatched:
-                return 4 if tl_stall else 2
-            return 5
         if dispatched:
-            return 1 if budget == 0 else 6
-        return 0
+            return now + 1, 0
+        return frontend.wake_after(now), stall
 
     def _reserve_wrongpath(self) -> None:
         """Hold registers for the wrong-path renames a real front end
@@ -1257,95 +1033,6 @@ class Pipeline:
         if self._wrongpath_reserved and self.two_level is not None:
             self.two_level.free_slots += self._wrongpath_reserved
         self._wrongpath_reserved = 0
-
-    def _dispatch_one(self, fetched, now: int) -> None:
-        dyn = fetched.dyn
-        op = _Op(dyn.seq, dyn)
-        mispredicted = fetched.mispredicted
-        op.mispredicted = mispredicted
-        if mispredicted:
-            self._reserve_wrongpath()
-
-        config = self.config
-        pinfo = self.pinfo
-        two_level = self.two_level
-        predictor = self.predictor
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "fetch", "pipeline", fetched.ready_at,
-                args={"pc": dyn.pc, "seq": dyn.seq},
-            )
-            tracer.emit(
-                "rename", "pipeline", now,
-                args={"pc": dyn.pc, "seq": dyn.seq},
-            )
-        writes_register = dyn.writes_register
-        predicted = None
-        if predictor is not None and writes_register:
-            predicted = predictor.predict(dyn.pc, self.fcf[dyn.seq])
-            if tracer is not None:
-                tracer.emit(
-                    "dou_predict", "predictor", now,
-                    args={"pc": dyn.pc, "predicted": predicted},
-                )
-        if writes_register:
-            raw = predicted if predicted is not None else config.unknown_default
-            max_use = config.max_use
-            pred_eff = raw if raw < max_use else max_use
-            op.pred_eff = pred_eff
-            op.pinned = bool(
-                config.pin_at_max
-                and predicted is not None
-                and pred_eff == max_use
-            )
-        op.predicted = predicted
-
-        renamed = self.renamer.rename(dyn, op.pred_eff)
-        sources = renamed.sources
-        dest_preg = renamed.dest_preg
-        op.sources = sources
-        op.dest_preg = dest_preg
-        op.dest_set = renamed.dest_set
-        op.prev_preg = renamed.prev_preg
-
-        if dest_preg >= 0:
-            info = _PregInfo(dyn.pc, self.fcf[dyn.seq], now)
-            info.producer_seq = dyn.seq
-            info.pred_eff = op.pred_eff
-            info.pinned = op.pinned
-            info.predicted = predicted
-            info.assigned_set = op.dest_set
-            pinfo[dest_preg] = info
-            if two_level is not None:
-                two_level.allocate(dest_preg)
-        if renamed.prev_preg >= 0 and two_level is not None:
-            two_level.reassigned(renamed.prev_preg, now)
-
-        unready = 0
-        if config.record_timing:
-            op.src_producer_seqs = tuple(
-                pinfo[preg].producer_seq if preg >= 0 else -1
-                for preg, _assigned in sources
-            )
-        for preg, _assigned in sources:
-            if preg < 0:
-                continue
-            info = pinfo[preg]
-            info.uses_renamed += 1
-            if two_level is not None:
-                two_level.add_pending_consumer(preg)
-            if not info.issued:
-                info.waiters.append(op)
-                unready += 1
-        op.unready = unready
-        if unready == 0:
-            earliest = self._earliest(op)
-            floor = now + 1
-            self._bucket(op, earliest if earliest > floor else floor)
-
-        self.rob.append(op)
-        self.window_count += 1
 
     # ------------------------------------------------------------------
 
@@ -1369,15 +1056,16 @@ class Pipeline:
             stats.predictor_queries = self.predictor.queries
             stats.predictor_supplied = self.predictor.supplied
             stats.predictor_correct = self.predictor.correct
-        # Close lifetime records for values still allocated at the end.
-        for preg, info in enumerate(self.pinfo):
-            if info is None or not info.issued:
-                continue
-            write_time = info.exec_end + 1
-            last_read = max(info.last_read, write_time)
-            stats.lifetimes.append(LifetimeRecord(
-                info.alloc_time, write_time, last_read, cycles
-            ))
+        if self.record_lifetimes:
+            # Close lifetime records for values still allocated at the end.
+            for producer in self.producers:
+                if producer is None or producer.status != _ISSUED:
+                    continue
+                write_time = producer.exec_end + 1
+                last_read = max(producer.last_read, write_time)
+                stats.lifetimes.append(LifetimeRecord(
+                    producer.alloc_time, write_time, last_read, cycles
+                ))
         self._publish_observability()
 
     def _publish_observability(self) -> None:

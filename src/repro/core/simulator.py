@@ -18,25 +18,16 @@ from repro.vm.trace import Trace
 from repro.workloads.suite import DEFAULT_SUITE, load_trace
 
 
-def simulate(
-    trace: Trace,
-    config: MachineConfig | None = None,
-    *,
-    core: str | None = None,
-) -> SimStats:
+def simulate(trace: Trace, config: MachineConfig | None = None) -> SimStats:
     """Run the timing model on *trace* and return its statistics.
 
     Args:
         trace: a committed-instruction trace (from the VM or synthetic).
         config: machine configuration; defaults to the paper's use-based
             64-entry 2-way register cache machine.
-        core: timing-loop selection, ``"event"`` (default: skip dead
-            cycles) or ``"cycle"`` (reference per-cycle loop); ``None``
-            reads ``REPRO_SIM_CORE``. Both cores produce bit-identical
-            statistics.
     """
     config = config or MachineConfig()
-    return Pipeline(trace, config, core=core).run()
+    return Pipeline(trace, config).run()
 
 
 def simulate_benchmark(

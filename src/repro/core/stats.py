@@ -8,13 +8,15 @@ use the compact :meth:`SimStats.to_dict` form, which flattens the
 potentially huge lifetime log into a single integer array instead of a
 list of objects; :meth:`SimStats.from_dict` reverses it exactly.
 
-``to_dict()`` is also the repo's *equality surface*: the per-cycle and
-event-driven timing cores (``REPRO_SIM_CORE``, DESIGN.md §10) and the
-engine's batched/unbatched sweep paths are required to produce
-``to_dict()``-equal payloads for the same (trace, config) — every field
-here, including the packed lifetime log, participates in that
-bit-identity contract, so adding a field means accounting for it in
-both cores.
+``to_dict()`` is also the repo's *equality surface*: the engine's
+batched/unbatched sweep paths must produce ``to_dict()``-equal payloads
+for the same (trace, config), and ``tests/golden/simstats.json`` pins
+hashes of it for a grid of kernels and schemes, so any refactor of the
+timing loop must reproduce every field here bit for bit.
+
+The lifetime log is opt-in (``MachineConfig.record_lifetimes``). A run
+that did not record it has ``lifetimes = None`` — serialized as
+``null`` — so it can never pass for a run that recorded an empty log.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.regfile.register_cache import CacheStats
 
 #: Bump when the serialized form of :class:`SimStats` changes shape, so
 #: the engine's on-disk result cache invalidates stale entries.
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -129,8 +131,9 @@ class SimStats:
     predictor_supplied: int = 0
     predictor_correct: int = 0
 
-    # Per-value lifetime log (Figure 1 / Figure 2 inputs).
-    lifetimes: list[LifetimeRecord] = field(default_factory=list)
+    # Per-value lifetime log (Figure 1 / Figure 2 inputs); None when the
+    # run did not record it (MachineConfig.record_lifetimes off).
+    lifetimes: list[LifetimeRecord] | None = field(default_factory=list)
 
     @property
     def ipc(self) -> float:
@@ -202,7 +205,8 @@ class SimStats:
 
         Integer counters add; the cache sub-records merge via
         :meth:`CacheStats.merge` (present when any run had one); the
-        lifetime logs concatenate. ``benchmark`` joins the distinct
+        lifetime logs concatenate (``None`` when any run did not record
+        one). ``benchmark`` joins the distinct
         input names with ``+`` and ``scheme`` is kept when unanimous
         (``mixed`` otherwise), so derived rates (:attr:`ipc`,
         :attr:`bypass_fraction`, ...) read as suite-level aggregates.
@@ -227,7 +231,10 @@ class SimStats:
                     merged, spec.name,
                     getattr(merged, spec.name) + getattr(stats, spec.name),
                 )
-            merged.lifetimes.extend(stats.lifetimes)
+            if stats.lifetimes is None:
+                merged.lifetimes = None
+            elif merged.lifetimes is not None:
+                merged.lifetimes.extend(stats.lifetimes)
         merged.benchmark = "+".join(benchmarks)
         merged.scheme = (
             schemes[0] if len(schemes) == 1 else ("mixed" if schemes else "")
@@ -245,9 +252,9 @@ class SimStats:
         Scalar counters are copied as-is; the cache sub-record becomes a
         plain dict; the lifetime log is packed into one flat integer
         array (4 ints per record) so serializing a long run does not drag
-        millions of Python objects through pickle or JSON. Pass
-        ``include_lifetimes=False`` to drop the log entirely when the
-        consumer only needs the counters.
+        millions of Python objects through pickle or JSON; an unrecorded
+        log stays ``None``. Pass ``include_lifetimes=False`` to drop the
+        log entirely when the consumer only needs the counters.
         """
         out = {
             f.name: getattr(self, f.name)
@@ -255,9 +262,12 @@ class SimStats:
             if f.name not in ("cache", "lifetimes")
         }
         out["cache"] = None if self.cache is None else self.cache.to_dict()
-        out["lifetimes"] = (
-            pack_lifetimes(self.lifetimes) if include_lifetimes else []
-        )
+        if not include_lifetimes:
+            out["lifetimes"] = []
+        elif self.lifetimes is None:
+            out["lifetimes"] = None
+        else:
+            out["lifetimes"] = pack_lifetimes(self.lifetimes)
         return out
 
     @classmethod
@@ -266,7 +276,8 @@ class SimStats:
         data = dict(data)
         cache = data.get("cache")
         data["cache"] = None if cache is None else CacheStats.from_dict(cache)
-        data["lifetimes"] = unpack_lifetimes(data.get("lifetimes") or [])
+        flat = data.get("lifetimes", [])
+        data["lifetimes"] = None if flat is None else unpack_lifetimes(flat)
         return cls(**data)
 
     def __reduce__(self):

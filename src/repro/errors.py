@@ -35,6 +35,11 @@ class ConfigError(ReproError):
     """Raised when a machine configuration is internally inconsistent."""
 
 
+class LifetimesNotRecorded(ReproError):
+    """Raised when a lifetime analysis is given a run that did not
+    record its lifetime log (``MachineConfig.record_lifetimes`` off)."""
+
+
 class EngineError(ReproError):
     """Raised when the experiment engine cannot produce a result.
 

@@ -33,6 +33,10 @@ from repro.vm.trace import DynamicInst, Trace
 _PLAN_COND = 1
 _PLAN_MISS = 2
 
+#: A cycle no simulation reaches: :meth:`FrontEnd.wake_after`'s "not
+#: until something else happens".
+NEVER = 1 << 62
+
 
 def branch_plan_for(trace: Trace) -> list[int]:
     """Per-record branch outcomes for *trace*, memoized on the trace.
@@ -142,7 +146,9 @@ class FrontEnd:
         self.indirect = IndirectPredictor()
         self.ras = ReturnAddressStack()
 
-        self._queue: deque[FetchedInst] = deque()
+        #: Fetched instructions in program order; dispatch consumes the
+        #: head (after :meth:`next_ready` says it is dispatchable).
+        self.queue: deque[FetchedInst] = deque()
         self._next_index = 0
         self._fetch_cycle = 0
         self._slots_left = fetch_width
@@ -156,7 +162,7 @@ class FrontEnd:
 
     def exhausted(self) -> bool:
         """True when the whole trace has been fetched and dispatched."""
-        return self._next_index >= len(self.records) and not self._queue
+        return self._next_index >= len(self.records) and not self.queue
 
     def resume(self, cycle: int) -> None:
         """Restart fetch after a mispredicted branch resolves at *cycle*.
@@ -177,7 +183,7 @@ class FrontEnd:
         consumed remain queued.
         """
         self._fill_queue(now)
-        queue = self._queue
+        queue = self.queue
         out: list[FetchedInst] = []
         while queue and len(out) < max_count and queue[0].ready_at <= now:
             out.append(queue.popleft())
@@ -188,56 +194,44 @@ class FrontEnd:
 
         This is the dispatch stage's fast path: one fetch-ahead fill and
         one queue probe per call. Consume the returned instruction with
-        :meth:`pop_next`.
+        ``queue.popleft()``.
         """
         self._fill_queue(now)
-        queue = self._queue
+        queue = self.queue
         if queue:
             head = queue[0]
             if head.ready_at <= now:
                 return head
         return None
 
-    def pop_next(self) -> FetchedInst:
-        """Consume the head instruction (after :meth:`next_ready`)."""
-        return self._queue.popleft()
-
     def peek_ready(self, now: int) -> bool:
         """True if at least one instruction is dispatchable at *now*."""
         return self.next_ready(now) is not None
 
-    def next_fetch_time(self, now: int) -> int:
-        """Earliest cycle > *now* at which fetch could make progress.
+    def wake_after(self, now: int) -> int:
+        """First cycle after *now* at which :meth:`next_ready` can change.
 
-        Used by the event-driven core to wake at exactly the cycles the
-        per-cycle loop would have advanced fetch in (so shared-hierarchy
-        i-cache accesses happen in the same order relative to data
-        accesses). Returns ``-1`` when fetch cannot progress until some
-        pipeline event intervenes: stalled on a mispredicted branch
-        (resume() restarts it), trace exhausted, or queue full (dispatch
-        must drain it first).
+        Meant to be called right after ``next_ready(now)``. Until the
+        returned cycle a probe fetches nothing (fetch waits for its next
+        fetch cycle, or is stopped on a mispredicted branch, a full
+        queue or the end of the trace) and finds the same head, so a
+        dispatch stage with nothing to dispatch can sleep until then.
+        :meth:`resume` and a dispatch from the queue void the answer.
+        Returns :data:`NEVER` when only they can change anything.
         """
-        if (
+        queue = self.queue
+        wake = NEVER
+        if not (
             self._stalled_for_branch
             or self._next_index >= len(self.records)
-            or len(self._queue) >= self.queue_capacity
+            or len(queue) >= self.queue_capacity
         ):
-            return -1
-        fetch_cycle = self._fetch_cycle
-        return fetch_cycle if fetch_cycle > now else now + 1
-
-    def next_head_ready(self, now: int) -> int:
-        """Cycle the queue head becomes dispatchable; ``-1`` if empty.
-
-        The event-driven core's wake-up bound for an idle dispatch
-        stage: before this cycle the reference loop's dispatch would
-        also have found nothing consumable.
-        """
-        queue = self._queue
-        if not queue:
-            return -1
-        ready_at = queue[0].ready_at
-        return ready_at if ready_at > now else now + 1
+            wake = self._fetch_cycle
+        if queue:
+            ready_at = queue[0].ready_at
+            if now < ready_at < wake:
+                wake = ready_at
+        return wake if wake > now else now + 1
 
     def peek(self, now: int) -> FetchedInst | None:
         """Next dispatchable instruction without consuming it."""
@@ -258,7 +252,7 @@ class FrontEnd:
         next_index = self._next_index
         if next_index >= total:
             return
-        queue = self._queue
+        queue = self.queue
         capacity = self.queue_capacity
         fetch_cycle = self._fetch_cycle
         queue_len = len(queue)

@@ -26,17 +26,22 @@ class MemoryCache:
         self.assoc = assoc
         self.num_sets = num_lines // assoc
         self.name = name
-        # Each set is an LRU-ordered list of line tags (MRU last).
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        # Set index -> LRU-ordered list of line tags (MRU last), created
+        # on the set's first fill: a short run touches few of the sets.
+        self._sets: dict[int, list[int]] = {}
         self.hits = 0
         self.misses = 0
 
     def _set_for(self, line: int) -> list[int]:
-        return self._sets[line % self.num_sets]
+        index = line % self.num_sets
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = []
+        return entries
 
     def probe(self, line: int) -> bool:
         """True when *line* is present; does not update LRU state."""
-        return line in self._set_for(line)
+        return line in self._sets.get(line % self.num_sets, ())
 
     def access(self, line: int) -> bool:
         """Reference *line*: returns hit/miss and fills on miss."""

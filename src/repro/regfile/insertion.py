@@ -35,9 +35,16 @@ class InsertionPolicy(abc.ABC):
 
     name: str
 
-    @abc.abstractmethod
     def should_insert(self, ctx: WriteContext) -> bool:
         """True when the value should be written into the cache."""
+        return self.admit(ctx.pred_uses, ctx.bypassed_first_stage, ctx.pinned)
+
+    @abc.abstractmethod
+    def admit(
+        self, pred_uses: int, bypassed_first_stage: int, pinned: bool
+    ) -> bool:
+        """:meth:`should_insert` on the unpacked context (the pipeline's
+        per-writeback call, which builds no context object)."""
 
 
 class AlwaysInsert(InsertionPolicy):
@@ -45,7 +52,7 @@ class AlwaysInsert(InsertionPolicy):
 
     name = "always"
 
-    def should_insert(self, ctx: WriteContext) -> bool:
+    def admit(self, pred_uses, bypassed_first_stage, pinned) -> bool:
         return True
 
 
@@ -60,8 +67,8 @@ class NonBypassInsert(InsertionPolicy):
 
     name = "non_bypass"
 
-    def should_insert(self, ctx: WriteContext) -> bool:
-        return ctx.bypassed_first_stage == 0
+    def admit(self, pred_uses, bypassed_first_stage, pinned) -> bool:
+        return bypassed_first_stage == 0
 
 
 class UseBasedInsert(InsertionPolicy):
@@ -74,10 +81,10 @@ class UseBasedInsert(InsertionPolicy):
 
     name = "use_based"
 
-    def should_insert(self, ctx: WriteContext) -> bool:
-        if ctx.pinned:
+    def admit(self, pred_uses, bypassed_first_stage, pinned) -> bool:
+        if pinned:
             return True
-        return ctx.pred_uses - ctx.bypassed_first_stage > 0
+        return pred_uses - bypassed_first_stage > 0
 
 
 #: Registry used by configuration code.

@@ -135,19 +135,6 @@ class TwoLevelRegisterFile:
     # ------------------------------------------------------------------
     # Move engine.
 
-    def pending_moves(self) -> bool:
-        """True when the next :meth:`tick` could change any state.
-
-        The event-driven core may skip a cycle's tick only when this is
-        False: at or above the free threshold ``tick`` returns without
-        touching anything, and below it an empty eligibility queue means
-        there is nothing to move (the ``_recent_moves`` pruning a ticked
-        cycle would also do is deferred harmlessly — entries older than
-        the prune window already fail ``on_mispredict``'s much tighter
-        recovery-window filter).
-        """
-        return self.free_slots < self.free_threshold and bool(self._eligible)
-
     def tick(self, now: int) -> int:
         """Run one cycle of the move engine; returns values moved."""
         if self.free_slots >= self.free_threshold:

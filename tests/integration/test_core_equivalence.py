@@ -1,12 +1,17 @@
-"""Dual-run equivalence: event-driven core vs per-cycle reference.
+"""The timing core against recorded truth, and shared-work equivalence.
 
-The cycle-skipping event core (``REPRO_SIM_CORE=event``) must be a pure
-wall-clock optimization: for every trace and storage scheme it has to
-produce a :class:`SimStats` whose ``to_dict()`` payload is *bit
-identical* to the per-cycle reference loop's, and both must satisfy the
-differential oracle. Same contract for the engine's shared-frontend
-sweep batching and the precomputed branch plan it rides on.
+``tests/golden/simstats.json`` holds hashes of ``SimStats`` recorded
+from an earlier, independent implementation of the timing loop (the
+per-cycle and event-driven cores it replaced were bit-identical to each
+other). Today's core must reproduce every one: the counters of each
+kernel x storage scheme at scale 0.02, the Fig-12 backing-latency point,
+pointer_chase in the memory-stall regime, and the packed lifetime log
+of every ``use_based`` run. Every run must also pass the differential
+oracle. Same contract for the engine's shared-frontend sweep batching
+and the precomputed branch plan it rides on.
 """
+
+import json
 
 import pytest
 
@@ -21,35 +26,46 @@ from repro.core.pipeline import Pipeline
 from repro.frontend.fetch import branch_plan_for
 from repro.testing.oracle import check_run
 from repro.workloads.suite import load_trace
+from tests.golden.generate import (
+    GOLDEN_PATH,
+    SCALE,
+    SEED,
+    cases,
+    counters_digest,
+    lifetimes_digest,
+    make_config,
+)
 
-SCHEMES = {
-    "use_based": use_based_config,
-    "monolithic": lambda **kw: monolithic_config(3, **kw),
-    "two_level": two_level_config,
-}
-
-
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
-@pytest.mark.parametrize("bench", ["pointer_chase", "interp", "compress"])
-def test_cores_bit_identical_and_oracle_clean(bench, scheme):
-    trace = load_trace(bench, scale=0.12)
-    config = SCHEMES[scheme]()
-    cycle_stats = Pipeline(trace, config, core="cycle").run()
-    event_stats = Pipeline(trace, config, core="event").run()
-    assert event_stats.to_dict() == cycle_stats.to_dict()
-    assert check_run(trace, cycle_stats) == []
-    assert check_run(trace, event_stats) == []
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+CASES = cases()
 
 
-def test_env_var_selects_core(monkeypatch):
-    """``REPRO_SIM_CORE`` picks the loop; both answers agree."""
-    trace = load_trace("crc", scale=0.1)
-    config = use_based_config()
-    monkeypatch.setenv("REPRO_SIM_CORE", "cycle")
-    cycle_stats = Pipeline(trace, config).run()
-    monkeypatch.setenv("REPRO_SIM_CORE", "event")
-    event_stats = Pipeline(trace, config).run()
-    assert event_stats.to_dict() == cycle_stats.to_dict()
+def _case_id(case) -> str:
+    return case[0].replace("/", "-")
+
+
+def test_golden_file_covers_every_case():
+    assert GOLDEN["scale"] == SCALE and GOLDEN["seed"] == SEED
+    assert sorted(GOLDEN["cases"]) == sorted(case[0] for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_cores_bit_identical_and_oracle_clean(case):
+    case_id, kernel, scheme, overrides = case
+    expected = GOLDEN["cases"][case_id]
+    trace = load_trace(kernel, scale=SCALE, seed=SEED)
+    config = make_config(scheme, overrides)
+    stats = Pipeline(trace, config).run()
+    assert counters_digest(stats) == expected["counters"]
+    assert check_run(trace, stats) == []
+    if config.record_lifetimes:
+        assert lifetimes_digest(stats) == expected["lifetimes"]
+        # The log is pure observation: turning it off moves nothing.
+        plain = Pipeline(
+            trace, config.replace(record_lifetimes=False)
+        ).run()
+        assert plain.lifetimes is None
+        assert counters_digest(plain) == expected["counters"]
 
 
 def test_branch_plan_matches_live_predictors():

@@ -37,7 +37,7 @@ def run_all(config):
 @pytest.fixture(scope="module")
 def results():
     configs = {
-        "use_based": use_based_config(),
+        "use_based": use_based_config(record_lifetimes=True),
         "use_based_16": use_based_config(cache_entries=16),
         "lru": lru_config(),
         "lru_16": lru_config(cache_entries=16),

@@ -89,6 +89,29 @@ def test_cli_main_runs(capsys):
     assert "table1" in out
 
 
+def test_module_cli_runs_without_runtime_warning():
+    """``python -m repro.analysis.experiments`` must not find its own
+    module already imported by the package (a RuntimeWarning)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.analysis.experiments", "table1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "table1" in proc.stdout
+
+
 def test_cli_main_rejects_unknown():
     from repro.analysis.experiments import main
     assert main(["figZZ"]) == 2

@@ -86,3 +86,19 @@ def test_unknown_field_types_rejected():
 
     with pytest.raises(Exception):
         _normalize(object())
+
+
+def test_record_lifetimes_enters_config_and_engine_cache_keys():
+    """A result simulated without the lifetime log must never be served
+    to a caller that asked for it (fig1/fig2), so the flag is part of
+    both the config key and the engine's result-cache key."""
+    from repro.analysis.engine import SimJob
+
+    plain = use_based_config()
+    logged = use_based_config(record_lifetimes=True)
+    assert dict(plain.config_key())["record_lifetimes"] is False
+    assert dict(logged.config_key())["record_lifetimes"] is True
+    assert plain.config_hash() != logged.config_hash()
+    job = SimJob(config=plain, trace_name="crc", scale=0.02, seed=1)
+    logged_job = SimJob(config=logged, trace_name="crc", scale=0.02, seed=1)
+    assert job.cache_key() != logged_job.cache_key()

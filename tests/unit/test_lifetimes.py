@@ -100,3 +100,32 @@ def test_percentile_monotone():
     cdf = occupancy_cdf([(0, 10), (2, 8), (4, 6)])
     values = [cdf.percentile(f) for f in (0.1, 0.5, 0.9, 1.0)]
     assert values == sorted(values)
+
+
+def test_unrecorded_log_is_not_an_empty_log():
+    """A run without ``record_lifetimes`` carries ``lifetimes=None``,
+    survives serialization as such, and every analysis refuses it
+    instead of summarizing an empty log."""
+    from repro.core.config import use_based_config
+    from repro.core.lifetimes import concatenate_records
+    from repro.core.pipeline import Pipeline
+    from repro.core.stats import SimStats
+    from repro.errors import LifetimesNotRecorded
+    from repro.workloads.suite import load_trace
+
+    trace = load_trace("crc", scale=0.02)
+    stats = Pipeline(trace, use_based_config()).run()
+    assert stats.lifetimes is None
+    assert stats.to_dict()["lifetimes"] is None
+    assert SimStats.from_dict(stats.to_dict()).lifetimes is None
+    for analysis in (phase_summary, allocated_cdf, live_cdf):
+        with pytest.raises(LifetimesNotRecorded):
+            analysis(stats.lifetimes)
+    with pytest.raises(LifetimesNotRecorded):
+        concatenate_records([stats.lifetimes])
+
+    logged = Pipeline(trace, use_based_config(record_lifetimes=True)).run()
+    assert logged.lifetimes
+    assert logged.to_dict(include_lifetimes=False) == \
+        stats.to_dict(include_lifetimes=False)
+    assert SimStats.merge([stats, logged]).lifetimes is None

@@ -16,7 +16,9 @@ from repro.workloads.suite import load_trace
 
 def _small_stats(config=None):
     trace = load_trace("compress", scale=0.05)
-    return Pipeline(trace, config or use_based_config()).run()
+    return Pipeline(
+        trace, config or use_based_config(record_lifetimes=True)
+    ).run()
 
 
 def test_lifetime_record_tuple_round_trip():
