@@ -48,14 +48,20 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   traceback) rather than poisoning the whole sweep; by default the
   first captured failure re-raises as
   :class:`~repro.errors.EngineError`.
+* **One job path** — serial and parallel rounds run every job the
+  same way (:func:`_execute_job`): resolve the trace, take its branch
+  plan (:func:`~repro.frontend.fetch.branch_plan_for`, memoized on the
+  trace, so one prediction pass per trace per process), simulate. No
+  job is grouped with another, so a fault never reaches past its job.
 * **Observability** — the engine counts jobs, cache hits/misses,
-  retries, timeouts, resumed jobs, and per-job wall-clock (including
-  p50/p95); it logs live progress through :mod:`repro.obs.log`; and
-  every run appends per-job records — job identity, config hash, trace
-  provenance, cache hit/miss, wall-clock, worker pid, failure
-  traceback — to a JSONL manifest under the cache directory
-  (:mod:`repro.obs.manifest`), which the regression gate
-  (``python -m repro.analysis.obs``) summarizes and diffs.
+  retries, timeouts, resumed jobs, trace-cache repairs, refused
+  manifest writes, and per-job wall-clock (including p50/p95); it logs
+  live progress through :mod:`repro.obs.log`; and every run appends
+  per-job records — job identity, config hash, trace provenance, cache
+  hit/miss, wall-clock, worker pid, failure traceback — to a JSONL
+  manifest under the cache directory (:mod:`repro.obs.manifest`),
+  which the regression gate (``python -m repro.analysis.obs``)
+  summarizes and diffs.
 
 Environment knobs (read when the shared engine is created):
 
@@ -71,10 +77,6 @@ Environment knobs (read when the shared engine is created):
   rounds; round *n* waits ``backoff * 2**(n-1)`` (default 0.05).
 * ``REPRO_RESUME`` — arm resume accounting: cache hits whose job keys
   appear as completed in the manifest count as ``resumed``.
-* ``REPRO_SWEEP_BATCH`` — ``0`` disables shared-frontend batching:
-  jobs that differ only in register-storage configuration normally run
-  as one group per worker, sharing a single trace decode,
-  ``trace.analysis()`` pass, and precomputed branch-prediction plan.
 * ``REPRO_FAULTS`` — arm the deterministic fault-injection plan (see
   :mod:`repro.testing.faults`); inert unless set.
 * ``REPRO_MANIFEST`` — ``0`` disables run manifests; a path overrides
@@ -99,24 +101,28 @@ import time
 import traceback
 import uuid
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    as_completed,
+)
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import MachineConfig
 from repro.core.pipeline import Pipeline
-from repro.frontend.fetch import branch_plan_for
 from repro.core.stats import STATS_SCHEMA_VERSION, SimStats
 from repro.errors import EngineError, JobTimeoutError
+from repro.frontend.fetch import branch_plan_for
 from repro.obs.log import ProgressReporter, get_logger
 from repro.obs.manifest import (
     ManifestWriter,
     completed_job_keys,
     manifest_path_for,
+    percentile,
     read_manifest,
 )
-from repro.obs.metrics import Histogram, get_metrics
 from repro.testing import faults, oracle
 from repro.vm.trace import Trace
 from repro.workloads.suite import load_trace, trace_counters, warm_trace_cache
@@ -209,8 +215,14 @@ class SimJob:
         return self.trace is None and bool(self.trace_name)
 
     def describe(self) -> str:
-        scheme = self.config.storage
-        return f"{self.label or self.trace_name or '<trace>'}[{scheme}]"
+        """Human-readable job name: trace, scheme and a config-hash prefix.
+
+        The hash prefix tells apart configs that share a storage scheme
+        (``lru``, ``non_bypass`` and ``use_based`` are all
+        ``register_cache``) in logs, failures and manifest records.
+        """
+        name = self.label or self.trace_name or "<trace>"
+        return f"{name}[{self.config.storage}:{self.config.config_hash()[:8]}]"
 
     def resolve_trace(self) -> Trace:
         """The trace to simulate (loading by provenance if needed)."""
@@ -286,8 +298,6 @@ def _execute_job(
     attempt: int = 0,
     timeout: float = 0.0,
     allow_crash: bool = False,
-    trace: Trace | None = None,
-    branch_plan: list[int] | None = None,
 ) -> tuple[str, object, float, int | None]:
     """Run one job; never raises (worker-side error capture).
 
@@ -303,10 +313,12 @@ def _execute_job(
     With *timeout* > 0 a ``SIGALRM`` one-shot timer bounds the job's
     wall clock; *allow_crash* lets the ``crash`` fault site call
     ``os._exit`` (pool workers only — in-process execution raises
-    instead, so the host survives). *trace* and *branch_plan* let a
-    batch (:func:`_execute_batch`) hand every member the shared
-    pre-resolved trace and branch-prediction plan; both are
-    timing-neutral (the plan replays the predictors' own decisions).
+    instead, so the host survives).
+
+    The job resolves its trace (memoized per process), takes the
+    trace's branch plan (:func:`branch_plan_for`, computed by the first
+    job on that trace in this process and reused by every later one),
+    then simulates.
     """
     start = time.perf_counter()
     pid = os.getpid()
@@ -321,14 +333,11 @@ def _execute_job(
                 armed = True
             faults.crash_point(identity, attempt, allow_exit=allow_crash)
             faults.hang_point(identity, attempt)
-            if trace is None:
-                trace = job.resolve_trace()
-            if branch_plan is not None:
-                stats = Pipeline(
-                    trace, job.config, branch_plan=branch_plan,
-                ).run()
-            else:
-                stats = Pipeline(trace, job.config).run()
+            trace = job.resolve_trace()
+            # Memoized on the trace: the prediction pass is a step of
+            # its own, not a hidden part of Pipeline construction.
+            branch_plan_for(trace)
+            stats = Pipeline(trace, job.config).run()
             if faults.fire("bad_stats", identity, attempt):
                 stats.retired = -stats.retired - 1
             return ("ok", stats, time.perf_counter() - start, pid)
@@ -351,43 +360,6 @@ def _execute_job(
         return (
             "error", traceback.format_exc(), time.perf_counter() - start, pid,
         )
-
-
-def _execute_batch(
-    jobs: Sequence[SimJob],
-    attempts: Sequence[int],
-    timeout: float = 0.0,
-    allow_crash: bool = False,
-) -> list[tuple[str, object, float, int | None]]:
-    """Run a shared-frontend batch of jobs in this process.
-
-    All members reference the same trace and agree on every non-storage
-    configuration field (:meth:`MachineConfig.frontend_key`), so the
-    trace is resolved once and the branch-prediction plan
-    (:func:`repro.frontend.fetch.branch_plan_for`) is computed once;
-    each member then simulates with its own storage scheme. Failures
-    are captured per member — a bad trace fails every member with the
-    same traceback, a bad simulation fails only its own slot. Runs in
-    worker processes; must stay module-level (picklable by reference).
-    """
-    trace = None
-    plan = None
-    setup_error: str | None = None
-    try:
-        trace = jobs[0].resolve_trace()
-        plan = branch_plan_for(trace)
-    except Exception:
-        setup_error = traceback.format_exc()
-    outcomes = []
-    for job, attempt in zip(jobs, attempts):
-        if setup_error is not None:
-            outcomes.append(("error", setup_error, 0.0, os.getpid()))
-            continue
-        outcomes.append(_execute_job(
-            job, attempt, timeout, allow_crash,
-            trace=trace, branch_plan=plan,
-        ))
-    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +392,12 @@ class EngineCounters:
     traces_loaded: int = 0
     trace_gen_seconds: float = 0.0
     trace_load_seconds: float = 0.0
-    #: Distribution of executed-job wall-clock (capped sample set).
-    job_wall: Histogram = field(default_factory=Histogram, repr=False)
+    #: Corrupt trace-cache entries regenerated while warming traces.
+    trace_cache_repairs: int = 0
+    #: Manifest writes the filesystem refused (the run goes on).
+    manifest_write_failures: int = 0
+    #: Wall-clock of every executed job, for the percentiles.
+    job_walls: list[float] = field(default_factory=list, repr=False)
 
     def record_job(self, wall: float) -> None:
         """Fold one executed job's wall-clock into the aggregates."""
@@ -429,7 +405,7 @@ class EngineCounters:
         self.job_seconds += wall
         if wall > self.max_job_seconds:
             self.max_job_seconds = wall
-        self.job_wall.observe(wall)
+        self.job_walls.append(wall)
 
     def snapshot(self) -> dict[str, float]:
         return {
@@ -445,13 +421,15 @@ class EngineCounters:
             "serial_fallbacks": self.serial_fallbacks,
             "job_seconds": round(self.job_seconds, 6),
             "max_job_seconds": round(self.max_job_seconds, 6),
-            "job_seconds_p50": round(self.job_wall.percentile(0.50), 6),
-            "job_seconds_p95": round(self.job_wall.percentile(0.95), 6),
+            "job_seconds_p50": round(percentile(self.job_walls, 0.50), 6),
+            "job_seconds_p95": round(percentile(self.job_walls, 0.95), 6),
             "engine_seconds": round(self.engine_seconds, 6),
             "traces_generated": self.traces_generated,
             "traces_loaded": self.traces_loaded,
             "trace_gen_seconds": round(self.trace_gen_seconds, 6),
             "trace_load_seconds": round(self.trace_load_seconds, 6),
+            "trace_cache_repairs": self.trace_cache_repairs,
+            "manifest_write_failures": self.manifest_write_failures,
         }
 
     def since(self, before: dict[str, float]) -> dict[str, float]:
@@ -477,7 +455,7 @@ class EngineCounters:
 
 
 class ExperimentEngine:
-    """Executes :class:`SimJob` batches with fan-out and memoization.
+    """Executes lists of :class:`SimJob` with fan-out and memoization.
 
     Args:
         workers: default worker count for :meth:`run`; ``None`` reads
@@ -496,14 +474,6 @@ class ExperimentEngine:
             capped at :data:`MAX_RETRY_BACKOFF`).
         resume: count cache hits recorded as completed in the manifest
             as resumed jobs; ``None`` reads ``REPRO_RESUME``.
-        batching: share one trace decode, ``trace.analysis()`` pass,
-            and branch-prediction plan across jobs that differ only in
-            register-storage configuration (equal
-            :meth:`MachineConfig.frontend_key` on the same trace) by
-            running each such group on one worker; ``None`` reads
-            ``REPRO_SWEEP_BATCH`` (default on). Automatically disabled
-            while fault injection is armed so the fault plan's per-job
-            crash/hang sites keep their one-job blast radius.
     """
 
     def __init__(
@@ -515,7 +485,6 @@ class ExperimentEngine:
         retries: int | None = None,
         retry_backoff: float | None = None,
         resume: bool | None = None,
-        batching: bool | None = None,
     ) -> None:
         if workers is None:
             workers = _parse_jobs(os.environ.get("REPRO_JOBS"))
@@ -548,11 +517,6 @@ class ExperimentEngine:
                 "1", "true", "on", "yes",
             )
         self.resume = bool(resume)
-        if batching is None:
-            batching = os.environ.get(
-                "REPRO_SWEEP_BATCH", "1",
-            ).lower() not in ("0", "false", "off")
-        self.batching = bool(batching)
         self.counters = EngineCounters()
         #: Every JobFailure this engine has returned (graceful-degradation
         #: consumers read the tail to report holes).
@@ -593,6 +557,7 @@ class ExperimentEngine:
         keys = [job.cache_key() if job.cacheable else None for job in jobs]
         sweep = _sweep_key(keys)
 
+        refused_before = self.manifest.write_failures if self.manifest else 0
         resumable: frozenset[str] = frozenset()
         if self.resume and self.manifest is not None:
             resumable = completed_job_keys(
@@ -637,7 +602,7 @@ class ExperimentEngine:
             self.manifest.append_all(prelude)
 
         failures: list[JobFailure] = []
-        run_wall = 0.0
+        repairs = 0
         if pending:
             trace_before = trace_counters().snapshot()
             pending_jobs = [jobs[index] for index in pending]
@@ -659,7 +624,6 @@ class ExperimentEngine:
                     job = jobs[index]
                     status, payload, wall, worker = outcome
                     counters.record_job(wall)
-                    run_wall += wall
                     if status == "ok":
                         if self.use_cache and keys[index] is not None:
                             self._cache_store(job, payload, key=keys[index])
@@ -702,6 +666,8 @@ class ExperimentEngine:
             counters.traces_loaded += int(trace_delta["traces_loaded"])
             counters.trace_gen_seconds += trace_delta["trace_gen_seconds"]
             counters.trace_load_seconds += trace_delta["trace_load_seconds"]
+            repairs = int(trace_delta["trace_cache_repairs"])
+            counters.trace_cache_repairs += repairs
             _log.info(
                 "run %s: done, cumulative cache hits %s, errors %d",
                 run_id, hit_rate, len(failures),
@@ -710,6 +676,7 @@ class ExperimentEngine:
         engine_wall = time.perf_counter() - start
         counters.engine_seconds += engine_wall
         if self.manifest is not None and jobs:
+            refused = self.manifest.write_failures - refused_before
             self.manifest.append_all([
                 {
                     "kind": "run",
@@ -721,15 +688,17 @@ class ExperimentEngine:
                     "errors": len(failures),
                     "workers": self.workers,
                     "engine_seconds": round(engine_wall, 6),
+                    "trace_cache_repairs": repairs,
+                    "manifest_write_failures": refused,
                 },
                 self._checkpoint_record(
                     run_id, sweep, "complete", jobs=len(jobs),
                     errors=len(failures),
                 ),
             ])
-        self._publish_metrics(
-            len(jobs), len(pending), len(failures), run_wall,
-        )
+            counters.manifest_write_failures += (
+                self.manifest.write_failures - refused_before
+            )
         self.failure_log.extend(failures)
         if failures and raise_on_error:
             first = failures[0]
@@ -740,7 +709,7 @@ class ExperimentEngine:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # Observability: manifests and metrics.
+    # Observability: manifest records.
 
     def _manifest_record(
         self,
@@ -786,23 +755,6 @@ class ExperimentEngine:
         }
         record.update(extra)
         return record
-
-    def _publish_metrics(
-        self, jobs: int, executed: int, errors: int, run_wall: float,
-    ) -> None:
-        """Fold this run's activity into the process-wide registry."""
-        registry = get_metrics()
-        if not registry.enabled or not jobs:
-            return
-        registry.publish("engine", {
-            "jobs": jobs,
-            "executed": executed,
-            "cache_hits": jobs - executed,
-            "errors": errors,
-            "retries": self.counters.retries,
-            "timeouts": self.counters.timeouts,
-            "job_seconds": round(run_wall, 6),
-        })
 
     def run_grid(
         self,
@@ -972,63 +924,12 @@ class ExperimentEngine:
         ):
             yield pending[local], outcome
 
-    def _batching_active(self) -> bool:
-        """Shared-frontend batching, unless fault injection is armed."""
-        return self.batching and not faults.enabled()
-
-    @staticmethod
-    def _batch_groups(jobs: Sequence[SimJob]) -> list[list[int]]:
-        """Partition job indices into shared-frontend groups.
-
-        Jobs land in one group when they reference the same trace and
-        their configurations agree on every non-storage field
-        (:meth:`MachineConfig.frontend_key`) — the precondition for
-        sharing a resolved trace and branch plan. Group order follows
-        first appearance, members keep submission order, and a group of
-        one degenerates to the plain per-job path.
-        """
-        groups: dict[object, list[int]] = {}
-        for index, job in enumerate(jobs):
-            if job.trace is not None:
-                tkey: tuple = ("obj", id(job.trace))
-            else:
-                tkey = ("name", job.trace_name, float(job.scale), job.seed)
-            key = (tkey, job.config.frontend_key())
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [index]
-            else:
-                bucket.append(index)
-        return list(groups.values())
-
     def _round_serial(
         self,
         jobs: Sequence[SimJob],
         attempts: Sequence[int],
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
-        if self._batching_active():
-            for group in self._batch_groups(jobs):
-                if len(group) == 1:
-                    index = group[0]
-                    outcome = _execute_job(
-                        jobs[index], attempts[index], self.job_timeout,
-                        False,
-                    )
-                    if progress is not None:
-                        progress.update()
-                    yield index, outcome
-                    continue
-                outcomes = _execute_batch(
-                    [jobs[i] for i in group],
-                    [attempts[i] for i in group],
-                    self.job_timeout, False,
-                )
-                for index, outcome in zip(group, outcomes):
-                    if progress is not None:
-                        progress.update()
-                    yield index, outcome
-            return
         for index, (job, attempt) in enumerate(zip(jobs, attempts)):
             if faults.enabled():
                 faults.interrupt_point(job.fault_identity(), attempt)
@@ -1044,76 +945,66 @@ class ExperimentEngine:
         workers: int,
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
+        """Yield ``(index, outcome)`` as pool workers finish *jobs*.
+
+        A worker that dies breaks the whole pool and fails every job
+        still in it. Those jobs rerun one at a time, each in a fresh
+        one-worker pool, so only the job that kills its own worker ends
+        as a ``crash``: a crash costs the rest of the round its
+        parallelism, not its results.
+        """
         reported: set[int] = set()
+        broken: list[int] = []
         timeout = self.job_timeout
-        if self._batching_active():
-            groups = self._batch_groups(jobs)
-        else:
-            groups = [[i] for i in range(len(jobs))]
         # Engine-side watchdog backstop for workers so far gone that
         # their own SIGALRM cannot fire: enough wall clock for every
-        # queued job to use its full budget, plus slack. A batched
-        # submission unit holds up to max_group member jobs, each with
-        # its own SIGALRM budget, so the bound scales accordingly.
+        # queued job to use its full budget, plus slack.
         watchdog = None
         if timeout > 0:
-            waves = -(-len(groups) // workers)
-            max_group = max(len(group) for group in groups)
-            watchdog = timeout * (waves * max_group + 1) + 5.0
+            waves = -(-len(jobs) // workers)
+            watchdog = timeout * (waves + 1) + 5.0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for group in groups:
-                if len(group) == 1:
-                    index = group[0]
-                    future = pool.submit(
-                        _execute_job, jobs[index], attempts[index],
-                        timeout, True,
-                    )
-                else:
-                    future = pool.submit(
-                        _execute_batch,
-                        [jobs[i] for i in group],
-                        [attempts[i] for i in group],
-                        timeout, True,
-                    )
-                futures[future] = group
+            futures = {
+                pool.submit(
+                    _execute_job, job, attempt, timeout, True,
+                ): index
+                for index, (job, attempt) in enumerate(zip(jobs, attempts))
+            }
             try:
                 # Yield in completion order so progress (and its ETA)
                 # is live; the caller re-maps indices.
                 for future in as_completed(futures, timeout=watchdog):
-                    group = futures[future]
+                    index = futures[future]
+                    reported.add(index)
                     try:
-                        result = future.result()
-                        outcomes = (
-                            [result] if len(group) == 1 else list(result)
-                        )
-                    except Exception:
-                        # BrokenProcessPool and friends: the worker died
-                        # (e.g. an injected os._exit). Captured per
-                        # member; the retry round gets a fresh pool.
-                        outcomes = [
-                            ("crash", traceback.format_exc(), 0.0, None)
-                        ] * len(group)
-                    for index, outcome in zip(group, outcomes):
-                        if progress is not None:
-                            progress.update()
-                        reported.add(index)
-                        self.counters.parallel_jobs += 1
-                        yield index, outcome
+                        outcome = future.result()
+                    except Exception as error:
+                        if isinstance(error, BrokenExecutor) and len(jobs) > 1:
+                            broken.append(index)
+                            continue
+                        outcome = ("crash", traceback.format_exc(), 0.0, None)
+                    if progress is not None:
+                        progress.update()
+                    self.counters.parallel_jobs += 1
+                    yield index, outcome
             except FuturesTimeout:
                 self._terminate_pool(pool)
-                for future, group in futures.items():
+                for future, index in futures.items():
                     future.cancel()
-                    for index in group:
-                        if index not in reported:
-                            reported.add(index)
-                            self.counters.parallel_jobs += 1
-                            yield index, (
-                                "timeout",
-                                f"no result within the {watchdog:.1f}s "
-                                "watchdog; worker terminated",
-                                0.0, None,
-                            )
+                    if index not in reported:
+                        reported.add(index)
+                        self.counters.parallel_jobs += 1
+                        yield index, (
+                            "timeout",
+                            f"no result within the {watchdog:.1f}s "
+                            "watchdog; worker terminated",
+                            0.0, None,
+                        )
+        for index in broken:
+            for _, outcome in self._round_parallel(
+                [jobs[index]], [attempts[index]], 1, progress,
+            ):
+                yield index, outcome
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -1236,7 +1127,6 @@ def configure(
     retries: int | None = None,
     retry_backoff: float | None = None,
     resume: bool | None = None,
-    batching: bool | None = None,
 ) -> ExperimentEngine:
     """Replace the shared engine (tests, benchmarks, notebooks).
 
@@ -1247,6 +1137,6 @@ def configure(
     _shared_engine = ExperimentEngine(
         workers=workers, cache_dir=cache_dir, use_cache=use_cache,
         job_timeout=job_timeout, retries=retries,
-        retry_backoff=retry_backoff, resume=resume, batching=batching,
+        retry_backoff=retry_backoff, resume=resume,
     )
     return _shared_engine

@@ -2,13 +2,12 @@
 
 All sweeps route through the :mod:`repro.analysis.engine` experiment
 engine: each ``(config, trace)`` pair becomes one :class:`SimJob`, the
-whole grid is submitted in a single batch (so parallel workers see the
+whole grid is submitted in a single engine call (so parallel workers see the
 full fan-out, not one trace at a time), and previously simulated pairs
-are served from the engine's content-addressed result cache. Grids are
-submitted trace-major: all configurations of one trace are adjacent, so
-the engine's shared-frontend batching (``REPRO_SWEEP_BATCH``) groups
-them onto one worker where they share a single trace decode,
-``trace.analysis()`` pass, and branch-prediction plan.
+are served from the engine's content-addressed result cache. Every job
+runs on its own; configurations of one trace share that trace's
+in-process memos (the decoded trace, ``trace.analysis()`` and the
+branch plan), so each is computed once per trace per process.
 
 Sweeps degrade gracefully: a failed job leaves an explicit hole — a
 falsy :class:`~repro.analysis.engine.JobFailure` in that result slot —
@@ -63,7 +62,7 @@ def sweep(
 ) -> dict[str, dict[str, SimStats | JobFailure]]:
     """Simulate every trace under every named configuration.
 
-    The full ``configs x traces`` grid is submitted as one engine batch
+    The full ``configs x traces`` grid is submitted as one engine call
     so a parallel engine can overlap work across configurations, not
     just within one.
 
@@ -74,8 +73,6 @@ def sweep(
     engine = engine or get_engine()
     names = list(traces)
     config_list = list(configs.values())
-    # Trace-major submission keeps each trace's configurations adjacent
-    # — exactly the engine's shared-frontend batch groups.
     jobs = [
         SimJob.for_trace(traces[name], config, label=name)
         for name in names
@@ -113,9 +110,6 @@ def ipc_curve(
     engine = engine or get_engine()
     points = list(points)
     names = list(traces)
-    # Trace-major, like sweep(): when config_for only varies storage
-    # parameters (cache size, backing latency, policies — the usual
-    # sweep axes), every point of one trace shares a frontend batch.
     jobs = [
         SimJob.for_trace(traces[name], config_for(point), label=name)
         for name in names

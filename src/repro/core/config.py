@@ -226,48 +226,6 @@ class MachineConfig:
             object.__setattr__(self, "_config_hash", digest)
         return digest
 
-    def frontend_key(self) -> tuple[tuple[str, object], ...]:
-        """Identity of everything *except* the register-storage scheme.
-
-        Two configs with equal frontend keys drive the front end, the
-        memory hierarchy, and the trace identically — they differ only
-        in how register values are stored and read. The experiment
-        engine batches such configs onto one worker so they share one
-        trace decode, one ``trace.analysis()`` pass, and one
-        precomputed branch-prediction plan (the predictors are
-        trace-order-driven, so their decisions are storage-independent;
-        see :func:`repro.frontend.fetch.branch_plan_for`).
-        """
-        return tuple(
-            item for item in self.config_key()
-            if item[0] not in _STORAGE_FIELDS
-        )
-
-
-#: MachineConfig fields that only affect register-value storage (the
-#: schemes the paper compares) — excluded from ``frontend_key``.
-_STORAGE_FIELDS = frozenset({
-    "storage",
-    "rf_read_latency",
-    "rf_write_latency",
-    "cache_entries",
-    "cache_assoc",
-    "insertion",
-    "replacement",
-    "indexing",
-    "backing_read_latency",
-    "backing_write_latency",
-    "backing_read_ports",
-    "max_use",
-    "unknown_default",
-    "fill_default",
-    "pin_at_max",
-    "two_level_l1_extra",
-    "two_level_l2_latency",
-    "two_level_bandwidth",
-    "two_level_free_threshold",
-})
-
 
 def _normalize(value: object) -> object:
     """Normalize one config value for :meth:`MachineConfig.config_key`."""

@@ -41,7 +41,6 @@ from repro.frontend.fetch import FrontEnd
 from repro.isa.instruction import NUM_ARCH_REGS
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import trace_file_for, tracer_from_env
 from repro.predict.degree_of_use import DegreeOfUsePredictor
 from repro.regfile.backing import BackingFile
@@ -70,7 +69,7 @@ _NO_SOURCE = (-1, -1)
 #: Functional-unit class -> dense index into per-class lists.
 _FU_INDEX = {op_class: index for index, op_class in enumerate(OpClass)}
 
-#: Sentinel for "resolve from the environment" observability arguments.
+#: Sentinel for "take the event tracer from the environment".
 _FROM_ENV = object()
 
 
@@ -163,8 +162,6 @@ class Pipeline:
         config: MachineConfig,
         *,
         tracer=_FROM_ENV,
-        metrics=_FROM_ENV,
-        branch_plan: list[int] | None = None,
     ) -> None:
         config.validate()
         self.trace = trace
@@ -176,14 +173,12 @@ class Pipeline:
         )
 
         # Observability: an event tracer (None unless REPRO_TRACE_EVENTS
-        # is set or one is injected) and a metrics registry (the
-        # process-wide one unless injected; None disables publishing).
+        # is set or one is injected).
         self._tracer_autowrite = False
         if tracer is _FROM_ENV:
             tracer = tracer_from_env()
             self._tracer_autowrite = tracer is not None
         self.tracer = tracer
-        self.metrics = get_metrics() if metrics is _FROM_ENV else metrics
 
         num_pregs = config.num_pregs
         if config.storage == "two_level":
@@ -274,7 +269,6 @@ class Pipeline:
             fetch_width=config.fetch_width,
             front_depth=config.front_depth,
             icache=_ICacheAdapter(icache) if icache else None,
-            branch_plan=branch_plan,
         )
 
         #: cycle -> event record (see the ``_FILLS`` ... ``_BLOCKED``
@@ -1066,31 +1060,6 @@ class Pipeline:
                 stats.lifetimes.append(LifetimeRecord(
                     producer.alloc_time, write_time, last_read, cycles
                 ))
-        self._publish_observability()
-
-    def _publish_observability(self) -> None:
-        """End-of-run observability: one bulk metrics fold + trace export.
-
-        Publishing happens once per run, after statistics settle, so the
-        metrics registry adds no per-cycle work; a disabled (or None)
-        registry skips the fold entirely.
-        """
-        stats = self.stats
-        registry = self.metrics
-        if registry is not None and registry.enabled:
-            labels = {"bench": stats.benchmark, "scheme": stats.scheme}
-            registry.counter("sim.runs", **labels).inc()
-            registry.publish(
-                "sim", stats.to_dict(include_lifetimes=False), **labels
-            )
-            registry.gauge("sim.ipc", **labels).set(stats.ipc)
-            registry.gauge(
-                "sim.bypass_fraction", **labels
-            ).set(stats.bypass_fraction)
-            if self.cache is not None:
-                self.cache.publish_metrics(registry, **labels)
-            if self.predictor is not None:
-                self.predictor.publish_metrics(registry, **labels)
         if self.tracer is not None and self._tracer_autowrite:
             self.tracer.write(
                 trace_file_for(stats.benchmark, stats.scheme)

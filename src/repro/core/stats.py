@@ -8,9 +8,9 @@ use the compact :meth:`SimStats.to_dict` form, which flattens the
 potentially huge lifetime log into a single integer array instead of a
 list of objects; :meth:`SimStats.from_dict` reverses it exactly.
 
-``to_dict()`` is also the repo's *equality surface*: the engine's
-batched/unbatched sweep paths must produce ``to_dict()``-equal payloads
-for the same (trace, config), and ``tests/golden/simstats.json`` pins
+``to_dict()`` is also the repo's *equality surface*: an engine sweep
+must return ``to_dict()``-equal payloads to direct ``Pipeline`` runs of
+the same (trace, config), and ``tests/golden/simstats.json`` pins
 hashes of it for a grid of kernels and schemes, so any refactor of the
 timing loop must reproduce every field here bit for bit.
 

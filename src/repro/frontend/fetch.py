@@ -44,11 +44,9 @@ def branch_plan_for(trace: Trace) -> list[int]:
     The front end's predictors (YAGS direction, RAS, cascading
     indirect) are trained in trace order with no timing feedback, so
     their hit/miss decisions depend only on the record sequence — not
-    on the machine configuration being simulated. Replaying them once
-    yields a plan that any number of configurations sharing the trace
-    can consume (:class:`FrontEnd` with ``branch_plan=``), skipping the
-    per-run prediction work while producing bit-identical fetch timing
-    and ``branches_seen`` / ``mispredicts`` counts.
+    on the machine configuration being simulated. One prediction pass
+    per trace therefore serves every configuration that simulates it:
+    :class:`FrontEnd` replays the plan instead of predicting.
 
     The plan is cached on the trace object itself (in-process only; it
     is derived data and deliberately kept out of the on-disk trace
@@ -57,24 +55,35 @@ def branch_plan_for(trace: Trace) -> list[int]:
     plan = getattr(trace, "_branch_plan", None)
     if plan is not None:
         return plan
-    probe = FrontEnd.__new__(FrontEnd)
-    probe.direction = YagsPredictor()
-    probe.indirect = IndirectPredictor()
-    probe.ras = ReturnAddressStack()
-    probe.branches_seen = 0
-    probe.mispredicts = 0
+    direction = YagsPredictor()
+    indirect = IndirectPredictor()
+    ras = ReturnAddressStack()
     plan = []
     append = plan.append
-    predict = probe._predict
     for dyn in trace.records:
         if not dyn.is_branch:
             append(0)
             continue
-        seen = probe.branches_seen
-        correct = predict(dyn)
-        code = 0 if correct else _PLAN_MISS
-        if probe.branches_seen != seen:
-            code |= _PLAN_COND
+        inst = dyn.inst
+        code = 0
+        if dyn.is_conditional:
+            code = _PLAN_COND
+            predicted = direction.predict(dyn.pc)
+            direction.update(dyn.pc, dyn.taken)
+            if predicted != dyn.taken:
+                code |= _PLAN_MISS
+        elif dyn.is_indirect:
+            if inst.src1 == LINK_REG and inst.dest is None:
+                # Return: predict through the RAS.
+                predicted_target = ras.pop()
+            else:
+                predicted_target = indirect.predict(dyn.pc)
+                indirect.update(dyn.pc, dyn.target)
+            if predicted_target != dyn.target:
+                code |= _PLAN_MISS
+        # Direct jumps/branches have perfect targets (perfect BTB).
+        if inst.dest == LINK_REG:
+            ras.push(dyn.pc + 1)
         append(code)
     try:
         trace._branch_plan = plan
@@ -116,11 +125,9 @@ class FrontEnd:
             additional stall cycles for fetching the given line.
         line_insts: instructions per I-cache line (64-byte lines of
             4-byte instructions).
-        branch_plan: optional precomputed per-record branch outcomes
-            (:func:`branch_plan_for`); when given, the live predictors
-            are bypassed in favor of the plan's (identical) decisions,
-            so batched runs over one trace pay the prediction cost
-            once.
+
+    Branch outcomes come from the trace's memoized plan
+    (:func:`branch_plan_for`).
     """
 
     def __init__(
@@ -132,7 +139,6 @@ class FrontEnd:
         queue_capacity: int = 48,
         icache=None,
         line_insts: int = 16,
-        branch_plan: list[int] | None = None,
     ) -> None:
         self.records = trace.records
         self.fetch_width = fetch_width
@@ -141,10 +147,7 @@ class FrontEnd:
         self.icache = icache
         self.line_insts = line_insts
 
-        self.branch_plan = branch_plan
-        self.direction = YagsPredictor()
-        self.indirect = IndirectPredictor()
-        self.ras = ReturnAddressStack()
+        self.branch_plan = branch_plan_for(trace)
 
         #: Fetched instructions in program order; dispatch consumes the
         #: head (after :meth:`next_ready` says it is dispatchable).
@@ -265,7 +268,6 @@ class FrontEnd:
         slots_left = self._slots_left
         last_line = self._last_line
         append = queue.append
-        predict = self._predict
         plan = self.branch_plan
         while next_index < total and queue_len < capacity \
                 and fetch_cycle <= now:
@@ -284,15 +286,12 @@ class FrontEnd:
             ends_block = False
             mispredicted = False
             if dyn.is_branch:
-                if plan is not None:
-                    code = plan[next_index - 1]
-                    if code & _PLAN_COND:
-                        self.branches_seen += 1
-                    if code & _PLAN_MISS:
-                        mispredicted = True
-                        self.mispredicts += 1
-                else:
-                    mispredicted = not predict(dyn)
+                code = plan[next_index - 1]
+                if code & _PLAN_COND:
+                    self.branches_seen += 1
+                if code & _PLAN_MISS:
+                    mispredicted = True
+                    self.mispredicts += 1
                 if dyn.taken or mispredicted:
                     ends_block = True
 
@@ -313,27 +312,3 @@ class FrontEnd:
         self._fetch_cycle = fetch_cycle
         self._slots_left = slots_left
         self._last_line = last_line
-
-    def _predict(self, dyn: DynamicInst) -> bool:
-        """Predict *dyn* and train; returns True when fully correct."""
-        inst = dyn.inst
-        correct = True
-        if dyn.is_conditional:
-            self.branches_seen += 1
-            predicted = self.direction.predict(dyn.pc)
-            self.direction.update(dyn.pc, dyn.taken)
-            correct = predicted == dyn.taken
-        elif dyn.is_indirect:
-            if inst.src1 == LINK_REG and inst.dest is None:
-                # Return: predict through the RAS.
-                predicted_target = self.ras.pop()
-            else:
-                predicted_target = self.indirect.predict(dyn.pc)
-                self.indirect.update(dyn.pc, dyn.target)
-            correct = predicted_target == dyn.target
-        # Direct jumps/branches have perfect targets (perfect BTB).
-        if dyn.is_branch and inst.dest == LINK_REG:
-            self.ras.push(dyn.pc + 1)
-        if not correct:
-            self.mispredicts += 1
-        return correct

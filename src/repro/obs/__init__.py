@@ -1,12 +1,11 @@
 """`repro.obs` — the observability subsystem.
 
-Four small, dependency-free modules that the rest of the stack publishes
-into:
+Three small, dependency-free modules. Every signal they carry lands in
+an artifact something reads — the run manifest, a Chrome trace file, or
+the log; the numbers of a run itself live in
+:class:`~repro.core.stats.SimStats` and in the engine's counters
+(``meta["engine"]`` of every experiment result).
 
-* :mod:`repro.obs.metrics` — a process-wide metrics registry (counters /
-  gauges / histograms with labels) that the pipeline, register cache,
-  degree-of-use predictor, and experiment engine populate alongside
-  :class:`~repro.core.stats.SimStats`. Near-zero overhead when disabled.
 * :mod:`repro.obs.tracer` — a windowed, ring-buffered structured event
   tracer for the pipeline with a Chrome ``trace_event`` JSON exporter,
   gated by ``REPRO_TRACE_EVENTS`` so traces open in ``chrome://tracing``
@@ -27,27 +26,13 @@ from repro.obs.manifest import (
     read_manifest,
     summarize_manifest,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    configure_metrics,
-    get_metrics,
-)
 from repro.obs.tracer import EventTracer, tracer_from_env
 
 __all__ = [
-    "Counter",
     "EventTracer",
-    "Gauge",
-    "Histogram",
     "ManifestWriter",
-    "MetricsRegistry",
     "ProgressReporter",
-    "configure_metrics",
     "get_logger",
-    "get_metrics",
     "read_manifest",
     "setup_logging",
     "summarize_manifest",

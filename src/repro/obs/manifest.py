@@ -1,10 +1,15 @@
 """Append-only JSONL run manifests.
 
-Every :meth:`repro.analysis.engine.ExperimentEngine.run` batch appends
+Every :meth:`repro.analysis.engine.ExperimentEngine.run` call appends
 one record per job to a manifest file under the engine's cache
 directory, making sweeps auditable after the fact: what ran, with which
 config hash and trace provenance, whether it was served from cache, how
 long it took, on which worker, and — for failures — the full traceback.
+Each run adds one ``run`` record with its totals, including two health
+signals recorded nowhere else: ``trace_cache_repairs`` (corrupt
+trace-cache entries regenerated) and ``manifest_write_failures``
+(manifest writes the filesystem refused, counted by
+:class:`ManifestWriter`).
 
 Records are single JSON lines written with one ``os.write`` on an
 ``O_APPEND`` descriptor, so concurrent engine processes interleave whole
@@ -23,11 +28,24 @@ import json
 import os
 from pathlib import Path
 
-from repro.obs.metrics import get_metrics, percentile
 from repro.testing import faults
 
 #: Default manifest file name under the engine cache directory.
 MANIFEST_NAME = "manifest.jsonl"
+
+
+def percentile(samples: list[float], fraction: float) -> float:
+    """Nearest-rank percentile of *samples* (0.0 for an empty list).
+
+    Args:
+        samples: unsorted observations.
+        fraction: percentile as a fraction, e.g. ``0.95``.
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 def manifest_path_for(cache_dir: str | os.PathLike) -> Path | None:
@@ -47,11 +65,14 @@ class ManifestWriter:
     """Appends JSON records to a manifest file, one per line.
 
     Writing is best-effort: a read-only or full filesystem never fails
-    the experiment (mirroring the result cache's contract).
+    the experiment (mirroring the result cache's contract). Refused
+    writes are counted in :attr:`write_failures`, which the engine
+    reports in its counters and in each run record.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
+        self.write_failures = 0
 
     def append(self, record: dict) -> bool:
         """Append one record; returns False when the write failed."""
@@ -81,7 +102,7 @@ class ManifestWriter:
                 os.close(fd)
             return True
         except OSError:
-            get_metrics().counter("repro_manifest_write_failures").inc()
+            self.write_failures += 1
             return False
 
 
@@ -155,7 +176,7 @@ def completed_job_keys(
     one of these keys is *resuming* prior work rather than merely
     enjoying memoization. Restricting to *sweep* narrows the set to one
     sweep identity (the engine stamps every job record with the sweep
-    key of its batch).
+    key of its run).
     """
     keys = set()
     for record in records:
@@ -174,7 +195,7 @@ def checkpoint_events(
 ) -> list[dict]:
     """The ``checkpoint`` records of a manifest, oldest first.
 
-    The engine appends ``start`` when a batch begins executing,
+    The engine appends ``start`` when a run begins executing,
     ``interrupted`` when it unwinds on SIGINT/crash, and ``complete``
     when it finishes — so an interrupted-then-resumed sweep reads as
     ``start, interrupted, start, complete``.

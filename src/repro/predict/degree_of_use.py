@@ -179,27 +179,3 @@ class DegreeOfUsePredictor:
     def coverage(self) -> float:
         """Fraction of queries for which a prediction was supplied."""
         return self.supplied / self.queries if self.queries else 0.0
-
-    # ------------------------------------------------------------------
-    # Observability.
-
-    def publish_metrics(self, registry, **labels: object) -> None:
-        """Publish predictor counters into a metrics registry.
-
-        One bulk fold at the end of a run; *registry* is a
-        :class:`repro.obs.metrics.MetricsRegistry` and a disabled one
-        returns immediately.
-        """
-        if not registry.enabled:
-            return
-        registry.publish(
-            "dou",
-            {
-                "queries": self.queries,
-                "supplied": self.supplied,
-                "correct": self.correct,
-            },
-            **labels,
-        )
-        registry.gauge("dou.accuracy", **labels).set(self.accuracy)
-        registry.gauge("dou.coverage", **labels).set(self.coverage)

@@ -426,25 +426,6 @@ class RegisterCache:
             self.stats.instances_never_read += 1
 
     # ------------------------------------------------------------------
-    # Observability.
-
-    def publish_metrics(self, registry, **labels: object) -> None:
-        """Publish the cache's counters into a metrics registry.
-
-        Called once at the end of a run (after :meth:`finalize`), so the
-        cost is one bulk fold regardless of run length. *registry* is a
-        :class:`repro.obs.metrics.MetricsRegistry`; a disabled registry
-        returns immediately.
-        """
-        if not registry.enabled:
-            return
-        stats = self.stats
-        registry.publish("rc", stats.to_dict(), **labels)
-        for cause, count in stats.misses.items():
-            registry.counter("rc.misses", cause=cause, **labels).inc(count)
-        registry.gauge("rc.miss_rate", **labels).set(stats.miss_rate)
-
-    # ------------------------------------------------------------------
 
     def remaining_uses(self, preg: int) -> int | None:
         """Remaining-use count of a cached value (None if absent)."""

@@ -34,7 +34,6 @@ from repro.errors import ReproError
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_metrics
 from repro.testing import faults
 from repro.vm.machine import run_program
 from repro.vm.trace import Trace, pack_trace, unpack_trace
@@ -196,7 +195,6 @@ def _load_cached(
         # this means an entry existed and was unreadable, so it is
         # counted — a climbing repair rate flags a sick cache volume.
         _counters.repairs += 1
-        get_metrics().counter("repro_trace_cache_repairs").inc()
         _log.warning(
             "repairing corrupt trace-cache entry for %s (scale=%s, "
             "seed=%s): %s", name, scale, seed, path,

@@ -15,7 +15,6 @@ import os
 
 import pytest
 
-from repro.obs.metrics import configure_metrics
 from repro.testing import faults
 from repro.workloads.suite import clear_trace_memo
 
@@ -42,11 +41,3 @@ def _isolated_chaos_env(tmp_path, monkeypatch):
     yield
     faults.reset()
     clear_trace_memo()
-
-
-@pytest.fixture
-def metrics():
-    """A live metrics registry, restored to the env default afterwards."""
-    registry = configure_metrics(enabled=True)
-    yield registry
-    configure_metrics()

@@ -6,15 +6,25 @@ real sweep, and asserts two things: the run converges to the
 recovery left the expected observability trail — retry/timeout/repair
 counters a production run would alarm on. The differential oracle
 cross-checks every recovered sweep against a replay of its traces.
+Without retries, a job-level fault must stay in the slot of the job it
+hit and leave every other slot of the sweep untouched.
 """
 
+import itertools
 import json
 
 import pytest
 
-from repro.analysis.engine import ExperimentEngine, SimJob
-from repro.core.config import use_based_config
-from repro.testing import oracle
+from repro.analysis.engine import ExperimentEngine, JobFailure, SimJob
+from repro.core.config import (
+    lru_config,
+    monolithic_config,
+    non_bypass_config,
+    two_level_config,
+    use_based_config,
+)
+from repro.frontend.fetch import branch_plan_for
+from repro.testing import faults, oracle
 from repro.workloads.suite import (
     clear_trace_memo,
     load_trace,
@@ -115,10 +125,11 @@ def test_corrupt_result_cache_entry_repaired(
 
 
 def test_truncated_trace_cache_entry_repaired_and_counted(
-    chaos_seed, metrics, monkeypatch,
+    chaos_seed, monkeypatch,
 ):
     """A truncated packed trace triggers the repair path: regenerate,
-    bump ``trace_cache_repairs``, and publish the metrics counter."""
+    bump ``trace_cache_repairs``, and report it in the engine's
+    counters."""
     repairs_before = trace_counters().repairs
     monkeypatch.setenv(
         "REPRO_FAULTS", f"truncate_trace=1.0,times=1,seed={chaos_seed}",
@@ -126,9 +137,11 @@ def test_truncated_trace_cache_entry_repaired_and_counted(
     first = load_trace("compress", scale=SCALE)  # stores truncated bytes
 
     clear_trace_memo()
-    second = load_trace("compress", scale=SCALE)  # unreadable -> repair
+    engine = ExperimentEngine(workers=1, use_cache=False)
+    engine.run(_jobs()[:1])  # warming reads the unreadable entry
     assert trace_counters().repairs == repairs_before + 1
-    assert metrics.snapshot()["repro_trace_cache_repairs"] == 1
+    assert engine.counters.snapshot()["trace_cache_repairs"] == 1
+    second = load_trace("compress", scale=SCALE)
     assert len(second.records) == len(first.records)
 
     clear_trace_memo()
@@ -138,7 +151,7 @@ def test_truncated_trace_cache_entry_repaired_and_counted(
 
 
 def test_manifest_enospc_never_fails_the_run(
-    chaos_seed, metrics, tmp_path, monkeypatch,
+    chaos_seed, tmp_path, monkeypatch,
 ):
     """A full filesystem degrades observability, not the experiment."""
     monkeypatch.setenv(
@@ -148,6 +161,66 @@ def test_manifest_enospc_never_fails_the_run(
     results = engine.run(_jobs())
     assert all(stats.retired > 0 for stats in results)
     assert engine.counters.errors == 0
-    assert metrics.snapshot()["repro_manifest_write_failures"] >= 3
+    assert engine.counters.snapshot()["manifest_write_failures"] >= 3
     assert not engine.manifest.path.exists()  # every write was refused
     _assert_oracle_clean(results)
+
+
+# ----------------------------------------------------------------------
+# Faults inside one sweep: several configs over one trace, the shape of
+# every figure's grid.
+
+#: What each job-level fault site leaves in its slot.
+SITE_KINDS = {"crash": "crash", "hang": "timeout", "bad_stats": "invalid"}
+
+
+def _sweep_jobs():
+    configs = [
+        use_based_config(), lru_config(), non_bypass_config(),
+        monolithic_config(3), two_level_config(),
+    ]
+    return [
+        SimJob(config=config, trace_name="compress", scale=SCALE)
+        for config in configs
+    ]
+
+
+def _spec_hitting_some(site, chaos_seed, jobs):
+    """A fault spec for *site* that hits some but not all of *jobs*,
+    on every attempt, and which jobs it hits."""
+    for seed in itertools.count(chaos_seed):
+        spec = f"{site}=0.5,times=9,hang_seconds=30,seed={seed}"
+        plan = faults.parse_plan(spec)
+        hit = [plan.decide(site, job.fault_identity()) for job in jobs]
+        if any(hit) and not all(hit):
+            return spec, hit
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("site", sorted(SITE_KINDS))
+def test_sweep_fault_stays_in_its_own_slot(
+    chaos_seed, monkeypatch, site, workers,
+):
+    """A job-level fault fails only the jobs it hits; every other slot
+    of the sweep equals a fault-free run over the same memoized trace
+    and branch plan."""
+    jobs = _sweep_jobs()
+    baseline = ExperimentEngine(workers=1, use_cache=False).run(jobs)
+    trace = jobs[0].resolve_trace()
+    plan = branch_plan_for(trace)
+    spec, hit = _spec_hitting_some(site, chaos_seed, jobs)
+    monkeypatch.setenv("REPRO_FAULTS", spec)
+    engine = ExperimentEngine(
+        workers=workers, use_cache=False, retries=0,
+        job_timeout=0.5 if site == "hang" else 0.0,
+    )
+    results = engine.run(jobs, raise_on_error=False)
+    for slot, was_hit, expected in zip(results, hit, baseline):
+        if was_hit:
+            assert isinstance(slot, JobFailure)
+            assert slot.kind == SITE_KINDS[site]
+        else:
+            assert slot.to_dict() == expected.to_dict()
+    assert engine.counters.errors == sum(hit)
+    assert jobs[0].resolve_trace() is trace
+    assert branch_plan_for(trace) is plan

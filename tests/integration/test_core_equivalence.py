@@ -1,4 +1,4 @@
-"""The timing core against recorded truth, and shared-work equivalence.
+"""The timing core against recorded truth, and the engine's job path.
 
 ``tests/golden/simstats.json`` holds hashes of ``SimStats`` recorded
 from an earlier, independent implementation of the timing loop (the
@@ -7,14 +7,17 @@ other). Today's core must reproduce every one: the counters of each
 kernel x storage scheme at scale 0.02, the Fig-12 backing-latency point,
 pointer_chase in the memory-stall regime, and the packed lifetime log
 of every ``use_based`` run. Every run must also pass the differential
-oracle. Same contract for the engine's shared-frontend sweep batching
-and the precomputed branch plan it rides on.
+oracle. The hashes were recorded with branch predictors run live inside
+each simulation; today the front end replays the trace's memoized
+branch plan, so they pin that too. An engine sweep must return exactly
+what direct ``Pipeline`` runs return, with one plan per trace.
 """
 
 import json
 
 import pytest
 
+import repro.analysis.engine as engine_mod
 from repro.analysis.engine import ExperimentEngine, SimJob
 from repro.core.config import (
     lru_config,
@@ -25,7 +28,7 @@ from repro.core.config import (
 from repro.core.pipeline import Pipeline
 from repro.frontend.fetch import branch_plan_for
 from repro.testing.oracle import check_run
-from repro.workloads.suite import load_trace
+from repro.workloads.suite import clear_trace_memo, load_trace
 from tests.golden.generate import (
     GOLDEN_PATH,
     SCALE,
@@ -68,16 +71,28 @@ def test_cores_bit_identical_and_oracle_clean(case):
         assert counters_digest(plain) == expected["counters"]
 
 
+def _plan_counts(plan):
+    """``(branches_seen, mispredicts)`` decoded from a branch plan
+    (bit 0 of a code: conditional branch; bit 1: mispredicted)."""
+    return (
+        sum(code & 1 for code in plan),
+        sum((code >> 1) & 1 for code in plan),
+    )
+
+
 def test_branch_plan_matches_live_predictors():
-    """A precomputed branch plan changes nothing about the simulation."""
+    """The memoized plan is what a run's front end counts."""
     trace = load_trace("interp", scale=0.12)
     plan = branch_plan_for(trace)
     assert len(plan) == len(trace.records)
     assert branch_plan_for(trace) is plan  # memoized on the trace
-    config = use_based_config()
-    live = Pipeline(trace, config).run()
-    planned = Pipeline(trace, config, branch_plan=plan).run()
-    assert planned.to_dict() == live.to_dict()
+    pipeline = Pipeline(trace, use_based_config())
+    stats = pipeline.run()
+    frontend = pipeline.frontend
+    assert (frontend.branches_seen, frontend.mispredicts) == (
+        _plan_counts(plan)
+    )
+    assert stats.branch_mispredicts == frontend.mispredicts
 
 
 def _sweep_jobs(trace):
@@ -91,15 +106,27 @@ def _sweep_jobs(trace):
     ]
 
 
-def test_batched_sweep_matches_unbatched():
-    """Shared-frontend batching returns the exact per-job results."""
+def test_batched_sweep_matches_unbatched(monkeypatch):
+    """An engine sweep of several configs over one trace returns the
+    direct-run results and computes the trace's branch plan once."""
+    clear_trace_memo()
     trace = load_trace("crc", scale=0.12)
-    unbatched = ExperimentEngine(
-        workers=1, use_cache=False, batching=False,
-    ).run(_sweep_jobs(trace))
-    batched = ExperimentEngine(
-        workers=1, use_cache=False, batching=True,
-    ).run(_sweep_jobs(trace))
-    assert len(batched) == len(unbatched)
-    for batched_stats, unbatched_stats in zip(batched, unbatched):
-        assert batched_stats.to_dict() == unbatched_stats.to_dict()
+    jobs = _sweep_jobs(trace)
+    calls = []
+    computed = []
+    plan_for = engine_mod.branch_plan_for
+
+    def counting(trace):
+        calls.append(trace)
+        if getattr(trace, "_branch_plan", None) is None:
+            computed.append(trace)
+        return plan_for(trace)
+
+    monkeypatch.setattr(engine_mod, "branch_plan_for", counting)
+    swept = ExperimentEngine(workers=1, use_cache=False).run(jobs)
+    assert len(calls) == len(jobs)
+    assert len(computed) == 1  # once per trace per process
+    direct = [Pipeline(trace, job.config).run() for job in jobs]
+    assert [stats.to_dict() for stats in swept] == [
+        stats.to_dict() for stats in direct
+    ]

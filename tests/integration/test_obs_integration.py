@@ -18,7 +18,6 @@ from repro.analysis.obs import compare_metrics, extract_metrics, main as obs_mai
 from repro.core.config import lru_config, use_based_config
 from repro.core.pipeline import Pipeline
 from repro.obs.manifest import read_manifest, summarize_manifest
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import EventTracer
 from repro.workloads.suite import load_trace
 
@@ -42,7 +41,7 @@ class TestPipelineTracing:
         monkeypatch.setenv("REPRO_TRACE_EVENTS", "1")
         monkeypatch.setenv("REPRO_TRACE_FILE", str(out))
         trace = load_trace("compress", scale=SCALE)
-        pipeline = Pipeline(trace, _small_cache_config(), metrics=None)
+        pipeline = Pipeline(trace, _small_cache_config())
         pipeline.run()
 
         doc = json.loads(out.read_text())
@@ -74,7 +73,7 @@ class TestPipelineTracing:
         monkeypatch.delenv("REPRO_TRACE_EVENTS", raising=False)
         monkeypatch.setenv("REPRO_TRACE_FILE", str(out))
         trace = load_trace("compress", scale=SCALE)
-        pipeline = Pipeline(trace, _small_cache_config(), metrics=None)
+        pipeline = Pipeline(trace, _small_cache_config())
         assert pipeline.tracer is None
         pipeline.run()
         assert not out.exists()
@@ -83,37 +82,19 @@ class TestPipelineTracing:
         monkeypatch.setenv("REPRO_TRACE_FILE", str(tmp_path / "t.json"))
         tracer = EventTracer()
         trace = load_trace("compress", scale=SCALE)
-        Pipeline(
-            trace, _small_cache_config(), tracer=tracer, metrics=None,
-        ).run()
+        Pipeline(trace, _small_cache_config(), tracer=tracer).run()
         assert len(tracer) > 0
         assert not (tmp_path / "t.json").exists()
 
     def test_windowing_bounds_event_count(self):
         tracer = EventTracer(head_cycles=100, tail_events=500)
         trace = load_trace("compress", scale=SCALE)
-        Pipeline(
-            trace, _small_cache_config(), tracer=tracer, metrics=None,
-        ).run()
+        Pipeline(trace, _small_cache_config(), tracer=tracer).run()
         head_and_tail_max = len(
             [e for e in tracer.events() if e[3] < 100]
         ) + 500
         assert len(tracer) <= head_and_tail_max
         assert tracer.dropped > 0  # the run overflowed the tail window
-
-    def test_run_publishes_metrics(self):
-        registry = MetricsRegistry(enabled=True)
-        trace = load_trace("compress", scale=SCALE)
-        stats = Pipeline(
-            trace, _small_cache_config(), tracer=None, metrics=registry,
-        ).run()
-        snapshot = registry.snapshot()
-        labels = f"{{bench={stats.benchmark},scheme={stats.scheme}}}"
-        assert snapshot[f"sim.runs{labels}"] == 1
-        assert snapshot[f"sim.cycles{labels}"] == stats.cycles
-        assert snapshot[f"sim.ipc{labels}"] == pytest.approx(stats.ipc)
-        assert snapshot[f"rc.reads{labels}"] == stats.cache.reads
-        assert snapshot[f"dou.queries{labels}"] == stats.predictor_queries
 
 
 # ----------------------------------------------------------------------

@@ -102,3 +102,21 @@ def test_record_lifetimes_enters_config_and_engine_cache_keys():
     job = SimJob(config=plain, trace_name="crc", scale=0.02, seed=1)
     logged_job = SimJob(config=logged, trace_name="crc", scale=0.02, seed=1)
     assert job.cache_key() != logged_job.cache_key()
+
+
+def test_job_names_tell_apart_configs_of_one_scheme():
+    """lru, non_bypass and use_based all have storage ``register_cache``;
+    a job's name must still say which one failed."""
+    from repro.analysis.engine import SimJob
+
+    always = use_based_config(insertion="always")
+    non_bypass = use_based_config(insertion="non_bypass")
+    names = {
+        SimJob(config=config, trace_name="crc", scale=0.02).describe()
+        for config in (always, non_bypass)
+    }
+    assert len(names) == 2
+    for config in (always, non_bypass):
+        name = SimJob(config=config, trace_name="crc").describe()
+        assert name.startswith("crc[register_cache:")
+        assert config.config_hash()[:8] in name

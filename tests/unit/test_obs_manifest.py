@@ -4,6 +4,7 @@ from repro.obs.manifest import (
     MANIFEST_NAME,
     ManifestWriter,
     manifest_path_for,
+    percentile,
     read_manifest,
     summarize_manifest,
 )
@@ -38,6 +39,7 @@ class TestWriterAndReader:
         # Parent "directory" is a regular file -> OSError -> False.
         writer = ManifestWriter(blocker / "sub" / "m.jsonl")
         assert writer.append({"kind": "job"}) is False
+        assert writer.write_failures == 1
 
     def test_non_json_values_serialized_via_str(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -97,6 +99,12 @@ class TestSummary:
         assert summary["errors"] == 1
         assert summary["cache_hits"] == 1
         assert summary["cache_misses"] == 2
+
+    def test_percentile_nearest_rank(self):
+        assert percentile([], 0.5) == 0.0
+        assert percentile([7.0], 0.95) == 7.0
+        assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
+        assert percentile([1.0, 2.0, 3.0], 0.5) == 2.0
 
     def test_summary_wall_excludes_cached_jobs(self):
         summary = summarize_manifest(self._records())
