@@ -45,7 +45,7 @@ from repro.core.lifetimes import (
     phase_summary,
 )
 from repro.core.simulator import mean_ipc
-from repro.workloads.suite import DEFAULT_SUITE, SHORT_SUITE
+from repro.workloads.suite import DEFAULT_SUITE, SHORT_SUITE, trace_counters
 
 
 def _with_engine_meta(fn):
@@ -58,6 +58,10 @@ def _with_engine_meta(fn):
     failed, a ``meta["failures"]`` list describing the holes (sweeps
     degrade to partial results instead of raising; the CLI turns a
     non-empty failure list into exit code 3).
+
+    The trace-factory fields count every trace this process obtained
+    for the experiment: the experiment loads its traces before the
+    engine runs, so the engine's own run sees them as memo hits.
     """
 
     @functools.wraps(fn)
@@ -65,10 +69,13 @@ def _with_engine_meta(fn):
         engine = get_engine()
         counters = engine.counters
         before = counters.snapshot()
+        traces_before = trace_counters().snapshot()
         failures_before = len(engine.failure_log)
         result = fn(*args, **kwargs)
         if isinstance(result, ExperimentResult):
-            result.meta["engine"] = counters.since(before)
+            meta = counters.since(before)
+            meta.update(trace_counters().since(traces_before))
+            result.meta["engine"] = meta
             new_failures = engine.failure_log[failures_before:]
             if new_failures:
                 result.meta["failures"] = [

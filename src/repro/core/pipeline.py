@@ -41,7 +41,6 @@ from repro.frontend.fetch import FrontEnd
 from repro.isa.instruction import NUM_ARCH_REGS
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.obs.tracer import trace_file_for, tracer_from_env
 from repro.predict.degree_of_use import DegreeOfUsePredictor
 from repro.regfile.backing import BackingFile
 from repro.regfile.indexing import make_index_policy
@@ -68,9 +67,6 @@ _NO_SOURCE = (-1, -1)
 
 #: Functional-unit class -> dense index into per-class lists.
 _FU_INDEX = {op_class: index for index, op_class in enumerate(OpClass)}
-
-#: Sentinel for "take the event tracer from the environment".
-_FROM_ENV = object()
 
 
 def _op_seq(op: "_Op") -> int:
@@ -156,13 +152,7 @@ class Pipeline:
     point; this class exposes the machinery for tests and extensions.
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        config: MachineConfig,
-        *,
-        tracer=_FROM_ENV,
-    ) -> None:
+    def __init__(self, trace: Trace, config: MachineConfig) -> None:
         config.validate()
         self.trace = trace
         self.config = config
@@ -171,14 +161,6 @@ class Pipeline:
             benchmark=trace.name, scheme=config.storage,
             lifetimes=[] if config.record_lifetimes else None,
         )
-
-        # Observability: an event tracer (None unless REPRO_TRACE_EVENTS
-        # is set or one is injected).
-        self._tracer_autowrite = False
-        if tracer is _FROM_ENV:
-            tracer = tracer_from_env()
-            self._tracer_autowrite = tracer is not None
-        self.tracer = tracer
 
         num_pregs = config.num_pregs
         if config.storage == "two_level":
@@ -218,7 +200,6 @@ class Pipeline:
                 make_replacement_policy(config.replacement),
                 self.index_policy,
             )
-            self.cache.tracer = self.tracer
             self.insertion = make_insertion_policy(config.insertion)
             self.backing = BackingFile(
                 num_pregs,
@@ -287,8 +268,6 @@ class Pipeline:
         # whenever any producer's exec_end changes, so an unchanged
         # epoch proves a cached readiness bound is still exact.
         self._pepoch = 0
-        self.earliest_memo_hits = 0
-        self.earliest_memo_misses = 0
 
     # ------------------------------------------------------------------
 
@@ -466,18 +445,12 @@ class Pipeline:
     def _process_writebacks(self, events: list[_Op], now: int) -> None:
         cache = self.cache
         rf = self.rf
-        tracer = self.tracer
         for op in events:
             requeue_at = op.exec_end + 1
             if requeue_at != now:
                 _push(self._events, requeue_at, _WRITEBACKS, op)
                 continue
             preg = op.dest_preg
-            if tracer is not None:
-                tracer.emit(
-                    "writeback", "pipeline", now,
-                    args={"seq": op.seq, "preg": preg},
-                )
             if cache is not None:
                 self.backing.record_write()
                 if self.insertion.admit(op.pred_eff, op.bypass_first, op.pinned):
@@ -487,7 +460,7 @@ class Pipeline:
                         remaining if remaining > 0 else 0, op.pinned, now,
                     )
                 else:
-                    cache.record_filtered_write(preg, now)
+                    cache.record_filtered_write(preg)
             elif rf is not None:
                 rf.record_write()
 
@@ -524,7 +497,6 @@ class Pipeline:
         memory = self.memory
         producers = self.producers
         predictor = self.predictor
-        tracer = self.tracer
         cache = self.cache
         index_policy = self.index_policy
         two_level = self.two_level
@@ -561,16 +533,9 @@ class Pipeline:
                     producer.alloc_time, write_time, last_read, now
                 ))
             if predictor is not None:
-                pc = producer.dyn.pc
                 uses = producer.uses_renamed
-                predictor.train(pc, fcf[producer.seq], uses)
+                predictor.train(producer.dyn.pc, fcf[producer.seq], uses)
                 predictor.record_outcome(producer.predicted, uses)
-                if tracer is not None:
-                    tracer.emit(
-                        "dou_train", "predictor", now,
-                        args={"pc": pc, "actual": uses,
-                              "predicted": producer.predicted},
-                    )
             if cache is not None:
                 cache.invalidate(preg, now)
                 index_policy.release(producer.dest_set, producer.pred_eff)
@@ -629,7 +594,6 @@ class Pipeline:
         load_memory = self.memory is not None
         record_lifetimes = self.record_lifetimes
         record_timing = self.config.record_timing
-        tracer = self.tracer
         earliest_of = self._earliest
         fu_used = [0] * len(fu_limits)
         issued = 0
@@ -645,7 +609,6 @@ class Pipeline:
             # only ever grow), so a retry before it cannot succeed and
             # the source scan can be skipped entirely.
             if now < op.earliest_value:
-                self.earliest_memo_hits += 1
                 _push(events, op.earliest_value, _READY, op)
                 continue
             kinds: list[int] = []
@@ -684,7 +647,6 @@ class Pipeline:
                     next_time = storage_from
                 break
             if not is_ready:
-                self.earliest_memo_misses += 1
                 when = next_time if next_time > now + 1 else now + 1
                 op.earliest_value = when
                 op.earliest_epoch = self._pepoch
@@ -710,12 +672,6 @@ class Pipeline:
             op.exec_end = exec_end
             if record_timing:
                 self.issue_log[op.seq] = op
-            if tracer is not None:
-                tracer.emit(
-                    "issue", "pipeline", now,
-                    duration=max(1, exec_end - now),
-                    args={"pc": dyn.pc, "seq": op.seq},
-                )
             for (preg, assigned_set), kind in zip(op.sources, kinds):
                 if kind < 0:
                     continue
@@ -780,9 +736,7 @@ class Pipeline:
         """
         epoch = self._pepoch
         if op.earliest_epoch == epoch:
-            self.earliest_memo_hits += 1
             return op.earliest_value
-        self.earliest_memo_misses += 1
         earliest = 0
         producers = self.producers
         read_latency = self.read_latency
@@ -828,7 +782,6 @@ class Pipeline:
         queue = frontend.queue
         two_level = self.two_level
         predictor = self.predictor
-        tracer = self.tracer
         assign_set = self._assign_set
         free_pregs = self._free_pregs
         preg_allocated = self._preg_allocated
@@ -885,15 +838,6 @@ class Pipeline:
             if fetched.mispredicted:
                 op.mispredicted = True
                 self._reserve_wrongpath()
-            if tracer is not None:
-                tracer.emit(
-                    "fetch", "pipeline", fetched.ready_at,
-                    args={"pc": dyn.pc, "seq": seq},
-                )
-                tracer.emit(
-                    "rename", "pipeline", now,
-                    args={"pc": dyn.pc, "seq": seq},
-                )
 
             # Rename: look the sources up in the map, then allocate the
             # destination and install its mapping.
@@ -911,11 +855,6 @@ class Pipeline:
                 predicted = None
                 if predictor is not None:
                     predicted = predictor.predict(dyn.pc, fcf[seq])
-                    if tracer is not None:
-                        tracer.emit(
-                            "dou_predict", "predictor", now,
-                            args={"pc": dyn.pc, "predicted": predicted},
-                        )
                     op.predicted = predicted
                 raw = unknown_default if predicted is None else predicted
                 pred_eff = raw if raw < max_use else max_use
@@ -983,7 +922,6 @@ class Pipeline:
                     unready += 1
             op.unready = unready
             if unready == 0:
-                self.earliest_memo_misses += 1
                 op.earliest_epoch = self._pepoch
                 op.earliest_value = earliest
                 _push(
@@ -1060,10 +998,6 @@ class Pipeline:
                 stats.lifetimes.append(LifetimeRecord(
                     producer.alloc_time, write_time, last_read, cycles
                 ))
-        if self.tracer is not None and self._tracer_autowrite:
-            self.tracer.write(
-                trace_file_for(stats.benchmark, stats.scheme)
-            )
 
 
 class _ICacheAdapter:

@@ -207,10 +207,6 @@ class FrontEnd:
                 return head
         return None
 
-    def peek_ready(self, now: int) -> bool:
-        """True if at least one instruction is dispatchable at *now*."""
-        return self.next_ready(now) is not None
-
     def wake_after(self, now: int) -> int:
         """First cycle after *now* at which :meth:`next_ready` can change.
 
@@ -235,10 +231,6 @@ class FrontEnd:
             if now < ready_at < wake:
                 wake = ready_at
         return wake if wake > now else now + 1
-
-    def peek(self, now: int) -> FetchedInst | None:
-        """Next dispatchable instruction without consuming it."""
-        return self.next_ready(now)
 
     # ------------------------------------------------------------------
 

@@ -1,15 +1,10 @@
 """`repro.obs` — the observability subsystem.
 
-Three small, dependency-free modules. Every signal they carry lands in
-an artifact something reads — the run manifest, a Chrome trace file, or
-the log; the numbers of a run itself live in
-:class:`~repro.core.stats.SimStats` and in the engine's counters
-(``meta["engine"]`` of every experiment result).
+Two small, dependency-free modules. Every signal they carry lands in
+an artifact something reads — the run manifest or the log; the numbers
+of a run itself live in :class:`~repro.core.stats.SimStats` and in the
+engine's counters (``meta["engine"]`` of every experiment result).
 
-* :mod:`repro.obs.tracer` — a windowed, ring-buffered structured event
-  tracer for the pipeline with a Chrome ``trace_event`` JSON exporter,
-  gated by ``REPRO_TRACE_EVENTS`` so traces open in ``chrome://tracing``
-  or Perfetto.
 * :mod:`repro.obs.manifest` — append-only JSONL run manifests recording
   what every engine run actually did (job identity, cache hit/miss,
   wall-clock, failures, worker pids), plus readers and summarizers.
@@ -26,15 +21,12 @@ from repro.obs.manifest import (
     read_manifest,
     summarize_manifest,
 )
-from repro.obs.tracer import EventTracer, tracer_from_env
 
 __all__ = [
-    "EventTracer",
     "ManifestWriter",
     "ProgressReporter",
     "get_logger",
     "read_manifest",
     "setup_logging",
     "summarize_manifest",
-    "tracer_from_env",
 ]

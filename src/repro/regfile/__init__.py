@@ -16,7 +16,6 @@ from repro.regfile.insertion import (
     InsertionPolicy,
     NonBypassInsert,
     UseBasedInsert,
-    WriteContext,
     make_insertion_policy,
 )
 from repro.regfile.physical import PhysicalRegisterFile
@@ -64,7 +63,6 @@ __all__ = [
     "TwoLevelRegisterFile",
     "UseBasedInsert",
     "UseBasedReplacement",
-    "WriteContext",
     "make_index_policy",
     "make_insertion_policy",
     "make_replacement_policy",

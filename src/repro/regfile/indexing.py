@@ -4,7 +4,8 @@
 the baseline the paper criticizes, since physical register ids come off a
 freelist and carry no locality. *Decoupled* indexing assigns an arbitrary
 set at rename time; the assignment travels with the mapping through the
-rename map (see :class:`repro.rename.map_table.MapTable`).
+rename map (the ``(preg, set)`` entries of the pipeline's architectural
+map, :mod:`repro.core.pipeline`).
 
 Implemented policies (paper §4.2):
 

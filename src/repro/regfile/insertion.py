@@ -9,25 +9,6 @@ next-cycle consumers can affect the cache write decision").
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class WriteContext:
-    """Information available when the cache-write decision is made.
-
-    Attributes:
-        pred_uses: effective predicted degree of use (defaults already
-            applied).
-        bypassed_first_stage: number of consumers satisfied by the first
-            bypass stage before the write decision.
-        pinned: True when the prediction saturated at the maximum
-            representable count (such values are never filtered).
-    """
-
-    pred_uses: int
-    bypassed_first_stage: int
-    pinned: bool
 
 
 class InsertionPolicy(abc.ABC):
@@ -35,16 +16,20 @@ class InsertionPolicy(abc.ABC):
 
     name: str
 
-    def should_insert(self, ctx: WriteContext) -> bool:
-        """True when the value should be written into the cache."""
-        return self.admit(ctx.pred_uses, ctx.bypassed_first_stage, ctx.pinned)
-
     @abc.abstractmethod
     def admit(
         self, pred_uses: int, bypassed_first_stage: int, pinned: bool
     ) -> bool:
-        """:meth:`should_insert` on the unpacked context (the pipeline's
-        per-writeback call, which builds no context object)."""
+        """True when the value should be written into the cache.
+
+        Args:
+            pred_uses: effective predicted degree of use (defaults
+                already applied).
+            bypassed_first_stage: consumers satisfied by the first
+                bypass stage before the write decision.
+            pinned: True when the prediction saturated at the maximum
+                representable count (such values are never filtered).
+        """
 
 
 class AlwaysInsert(InsertionPolicy):

@@ -219,10 +219,6 @@ class RegisterCache:
         self.replacement = replacement
         self.index_policy = index_policy
         self.stats = CacheStats()
-        #: Optional :class:`repro.obs.tracer.EventTracer`; the pipeline
-        #: attaches one when ``REPRO_TRACE_EVENTS`` is on. Every hook
-        #: below costs one identity test when tracing is off.
-        self.tracer = None
 
         self._sets: list[list[CacheEntry]] = [[] for _ in range(self.num_sets)]
         self._where: dict[int, int] = {}  # preg -> set index (validity map)
@@ -286,12 +282,6 @@ class RegisterCache:
                     if not entry.pinned and entry.remaining > 0:
                         entry.remaining -= 1
                     self.stats.hits += 1
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            "rc_hit", "cache", now,
-                            args={"preg": preg, "set": set_index,
-                                  "remaining": entry.remaining},
-                        )
                     return True
             raise RegisterFileError(
                 f"validity map claims preg {preg} in set {stored} "
@@ -299,11 +289,6 @@ class RegisterCache:
             )  # pragma: no cover - internal invariant
         cause = self._absent_reason.get(preg, MISS_COLD)
         self.stats.misses[cause] += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "rc_miss", "cache", now,
-                args={"preg": preg, "set": set_index, "cause": cause},
-            )
         return False
 
     def write(
@@ -359,12 +344,6 @@ class RegisterCache:
             )
             self._absent_reason[victim.preg] = cause
             self._valid -= 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "rc_evict", "cache", now,
-                    args={"preg": victim.preg, "set": set_index,
-                          "cause": cause, "remaining": victim.remaining},
-                )
 
         entries.append(CacheEntry(preg, remaining, pinned, now, is_fill))
         self._where[preg] = set_index
@@ -378,22 +357,12 @@ class RegisterCache:
             self.stats.writes_fill += 1
         else:
             self.stats.writes_initial += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "rc_fill" if is_fill else "rc_insert", "cache", now,
-                args={"preg": preg, "set": set_index,
-                      "remaining": remaining, "pinned": pinned},
-            )
         return evicted
 
-    def record_filtered_write(self, preg: int, now: int = 0) -> None:
+    def record_filtered_write(self, preg: int) -> None:
         """Record that the insertion policy skipped *preg*'s write."""
         self.stats.writes_filtered += 1
         self._absent_reason.setdefault(preg, MISS_FILTERED)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "rc_fill_skip", "cache", now, args={"preg": preg},
-            )
 
     def invalidate(self, preg: int, now: int) -> None:
         """Remove *preg* when its physical register is freed (§2.2).

@@ -218,7 +218,6 @@ def _store_cached(name: str, scale: float, seed: int | None, trace: Trace) -> No
         pass  # caching is an optimization; never fail the load
 
 
-@functools.lru_cache(maxsize=128)
 def load_trace(name: str, scale: float = 1.0, seed: int | None = None) -> Trace:
     """Return the committed trace of a benchmark, via the trace factory.
 
@@ -226,7 +225,16 @@ def load_trace(name: str, scale: float = 1.0, seed: int | None = None) -> Trace:
     then assembles and executes the kernel on the VM (storing the result
     back to disk). Results are cached; callers must treat the returned
     trace as immutable.
+
+    The memo is keyed on the normalized ``(name, scale, seed)``, so
+    ``load_trace(n, scale=s)`` and ``load_trace(n, s, None)`` return the
+    same object.
     """
+    return _memo_trace(name, float(scale), seed)
+
+
+@functools.lru_cache(maxsize=128)
+def _memo_trace(name: str, scale: float, seed: int | None) -> Trace:
     program = build_program(name, scale=scale, seed=seed)
     if trace_cache_enabled():
         started = time.perf_counter()
@@ -234,16 +242,20 @@ def load_trace(name: str, scale: float = 1.0, seed: int | None = None) -> Trace:
         if trace is not None:
             _counters.loaded += 1
             _counters.load_seconds += time.perf_counter() - started
-            trace.provenance = (name, float(scale), seed)
+            trace.provenance = (name, scale, seed)
             return trace
     started = time.perf_counter()
     trace = run_program(program)
     _counters.generated += 1
     _counters.gen_seconds += time.perf_counter() - started
-    trace.provenance = (name, float(scale), seed)
+    trace.provenance = (name, scale, seed)
     if trace_cache_enabled():
         _store_cached(name, scale, seed, trace)
     return trace
+
+
+#: The memo's ``lru_cache`` statistics, under the name callers use.
+load_trace.cache_info = _memo_trace.cache_info
 
 
 def warm_trace_cache(name: str, scale: float = 1.0, seed: int | None = None) -> bool:
@@ -268,7 +280,7 @@ def warm_trace_cache(name: str, scale: float = 1.0, seed: int | None = None) -> 
 
 def clear_trace_memo() -> None:
     """Drop the in-process trace memo (tests and cache experiments)."""
-    load_trace.cache_clear()
+    _memo_trace.cache_clear()
 
 
 def load_suite(

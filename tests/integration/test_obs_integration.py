@@ -1,11 +1,9 @@
 """End-to-end tests of the observability subsystem.
 
-Covers the acceptance criteria of the ``repro.obs`` work: a traced
-pipeline run emits a valid Chrome ``trace_event`` JSON containing cache
-and predictor events; an engine sweep writes a JSONL manifest whose
-totals round-trip through the regression gate; the result cache
-survives concurrent writers; and the experiments CLI reports failures
-with a distinct exit code.
+Covers the acceptance criteria of the ``repro.obs`` work: an engine
+sweep writes a JSONL manifest whose totals round-trip through the
+regression gate and the ``obs summarize`` CLI, and the result cache
+survives concurrent writers.
 """
 
 import json
@@ -16,85 +14,9 @@ import pytest
 from repro.analysis.engine import ExperimentEngine, SimJob
 from repro.analysis.obs import compare_metrics, extract_metrics, main as obs_main
 from repro.core.config import lru_config, use_based_config
-from repro.core.pipeline import Pipeline
 from repro.obs.manifest import read_manifest, summarize_manifest
-from repro.obs.tracer import EventTracer
-from repro.workloads.suite import load_trace
 
 SCALE = 0.06
-
-
-# ----------------------------------------------------------------------
-# Pipeline tracing.
-
-
-def _small_cache_config():
-    # A small cache forces hits, misses, and evictions in a short run.
-    return use_based_config(cache_entries=8, cache_assoc=2)
-
-
-class TestPipelineTracing:
-    def test_env_enabled_run_writes_valid_chrome_trace(
-        self, tmp_path, monkeypatch,
-    ):
-        out = tmp_path / "trace.json"
-        monkeypatch.setenv("REPRO_TRACE_EVENTS", "1")
-        monkeypatch.setenv("REPRO_TRACE_FILE", str(out))
-        trace = load_trace("compress", scale=SCALE)
-        pipeline = Pipeline(trace, _small_cache_config())
-        pipeline.run()
-
-        doc = json.loads(out.read_text())
-        events = doc["traceEvents"]
-        assert events, "traced run emitted no events"
-        for event in events:
-            assert isinstance(event["name"], str)
-            assert isinstance(event["cat"], str)
-            assert event["ph"] in ("i", "X", "C")
-            assert isinstance(event["ts"], (int, float))
-            assert isinstance(event["pid"], int)
-            assert isinstance(event["tid"], int)
-            if event["ph"] == "X":
-                assert event["dur"] >= 1.0
-        names = {event["name"] for event in events}
-        # Register-cache activity...
-        assert {"rc_hit", "rc_miss", "rc_evict"} <= names
-        # ...predictor activity...
-        assert {"dou_predict", "dou_train"} <= names
-        # ...and pipeline stage activity.
-        assert {"fetch", "rename", "issue", "writeback"} <= names
-        # Cache, pipeline, and predictor streams get distinct lanes.
-        assert {"cache", "pipeline", "predictor"} <= set(
-            doc["otherData"]["lanes"]
-        )
-
-    def test_env_disabled_run_writes_nothing(self, tmp_path, monkeypatch):
-        out = tmp_path / "trace.json"
-        monkeypatch.delenv("REPRO_TRACE_EVENTS", raising=False)
-        monkeypatch.setenv("REPRO_TRACE_FILE", str(out))
-        trace = load_trace("compress", scale=SCALE)
-        pipeline = Pipeline(trace, _small_cache_config())
-        assert pipeline.tracer is None
-        pipeline.run()
-        assert not out.exists()
-
-    def test_explicit_tracer_not_autowritten(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_FILE", str(tmp_path / "t.json"))
-        tracer = EventTracer()
-        trace = load_trace("compress", scale=SCALE)
-        Pipeline(trace, _small_cache_config(), tracer=tracer).run()
-        assert len(tracer) > 0
-        assert not (tmp_path / "t.json").exists()
-
-    def test_windowing_bounds_event_count(self):
-        tracer = EventTracer(head_cycles=100, tail_events=500)
-        trace = load_trace("compress", scale=SCALE)
-        Pipeline(trace, _small_cache_config(), tracer=tracer).run()
-        head_and_tail_max = len(
-            [e for e in tracer.events() if e[3] < 100]
-        ) + 500
-        assert len(tracer) <= head_and_tail_max
-        assert tracer.dropped > 0  # the run overflowed the tail window
 
 
 # ----------------------------------------------------------------------

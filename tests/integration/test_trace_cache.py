@@ -165,3 +165,34 @@ def test_engine_counters_reach_experiment_meta(trace_cache, tmp_path,
         configure()
     meta = result.meta["engine"]
     assert meta["traces_generated"] + meta["traces_loaded"] > 0
+
+
+def test_call_forms_share_one_memo_entry(trace_cache):
+    """Keyword, positional and explicit-default calls hit one entry."""
+    trace = load_trace("compress", scale=SCALE)
+    assert load_trace("compress", SCALE, None) is trace
+    assert load_trace("compress", scale=SCALE, seed=None) is trace
+    assert load_trace.cache_info().currsize == 1
+
+
+def test_figures_generate_each_trace_once(trace_cache, tmp_path,
+                                          monkeypatch):
+    """The experiments and the engine resolve a trace to one object:
+    a fresh serial fig8 + fig9 run generates each kernel's trace once
+    and never reloads a second copy from disk."""
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    monkeypatch.delenv("REPRO_SUITE", raising=False)
+    from repro.analysis import experiments
+    from repro.analysis.engine import configure
+
+    configure(workers=1, cache_dir=tmp_path / "results")
+    before = suite.trace_counters().snapshot()
+    try:
+        experiments.fig8_miss_breakdown()
+        experiments.fig9_bandwidth()
+    finally:
+        configure()
+    delta = suite.trace_counters().since(before)
+    assert delta["traces_generated"] == 8
+    assert delta["traces_loaded"] == 0
+    assert load_trace.cache_info().currsize == 8

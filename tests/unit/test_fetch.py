@@ -109,9 +109,9 @@ def test_resume_restarts_fetch_after_cycle():
 
 def test_peek_does_not_consume():
     frontend, _ = make_frontend("nop\nhalt", front_depth=0)
-    first = frontend.peek(0)
+    first = frontend.next_ready(0)
     assert first is not None
-    again = frontend.peek(0)
+    again = frontend.next_ready(0)
     assert again is first
     pulled = frontend.pull(0, 1)
     assert pulled[0] is first

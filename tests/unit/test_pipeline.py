@@ -14,9 +14,12 @@ from repro.core.config import (
     use_based_config,
 )
 from repro.core.pipeline import Pipeline
-from repro.errors import SimulationError
+from repro.errors import RenameError, SimulationError
 from repro.isa.assembler import assemble
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
 from repro.vm.machine import run_program
+from repro.vm.trace import DynamicInst, Trace
 
 
 def timed_pipeline(source, config=None):
@@ -330,3 +333,17 @@ def test_stats_summary_keys():
     _, stats = timed_pipeline("nop\nhalt")
     summary = stats.summary()
     assert "ipc" in summary and "miss_rate" in summary
+
+
+@pytest.mark.parametrize("field", ["sources", "dest"])
+def test_out_of_range_arch_register_raises_rename_error(field):
+    # A negative register: one past the top already fails the trace
+    # analysis that Pipeline() runs, before rename sees the record.
+    record = DynamicInst(0, 0, Instruction(Opcode.ADD, dest=3, src1=1, src2=2))
+    if field == "sources":
+        record.sources = (1, -1)
+    else:
+        record.dest = -1
+    pipeline = Pipeline(Trace([record], name="bad"), use_based_config())
+    with pytest.raises(RenameError, match="out of range"):
+        pipeline.run()

@@ -6,7 +6,6 @@ from repro.regfile.insertion import (
     AlwaysInsert,
     NonBypassInsert,
     UseBasedInsert,
-    WriteContext,
     make_insertion_policy,
 )
 from repro.regfile.register_cache import CacheEntry
@@ -17,38 +16,33 @@ from repro.regfile.replacement import (
 )
 
 
-def ctx(pred=1, bypassed=0, pinned=False):
-    return WriteContext(pred_uses=pred, bypassed_first_stage=bypassed,
-                        pinned=pinned)
-
-
 # ----------------------------------------------------------------------
 # Insertion
 
 
 def test_always_insert():
     policy = AlwaysInsert()
-    assert policy.should_insert(ctx(pred=0, bypassed=5))
+    assert policy.admit(0, 5, False)
 
 
 def test_non_bypass_skips_any_bypassed():
     policy = NonBypassInsert()
-    assert policy.should_insert(ctx(pred=3, bypassed=0))
+    assert policy.admit(3, 0, False)
     # Even a multi-use value is filtered after one bypass — the paper's
     # criticism of the heuristic.
-    assert not policy.should_insert(ctx(pred=3, bypassed=1))
+    assert not policy.admit(3, 1, False)
 
 
 def test_use_based_inserts_remaining_uses():
     policy = UseBasedInsert()
-    assert policy.should_insert(ctx(pred=3, bypassed=1))
-    assert not policy.should_insert(ctx(pred=1, bypassed=1))
-    assert not policy.should_insert(ctx(pred=0, bypassed=0))
+    assert policy.admit(3, 1, False)
+    assert not policy.admit(1, 1, False)
+    assert not policy.admit(0, 0, False)
 
 
 def test_use_based_always_inserts_pinned():
     policy = UseBasedInsert()
-    assert policy.should_insert(ctx(pred=7, bypassed=7, pinned=True))
+    assert policy.admit(7, 7, True)
 
 
 def test_insertion_registry():

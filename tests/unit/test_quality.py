@@ -11,7 +11,7 @@ from repro import errors
 
 PACKAGES = [
     "repro", "repro.isa", "repro.vm", "repro.workloads", "repro.frontend",
-    "repro.predict", "repro.rename", "repro.regfile", "repro.memory",
+    "repro.predict", "repro.regfile", "repro.memory",
     "repro.core", "repro.analysis",
 ]
 
