@@ -96,5 +96,5 @@ def dependence_report(pipeline: Pipeline, seq: int) -> str:
     return (
         f"seq {seq}: {op.dyn.inst}  issued@{op.issue_time} "
         f"exec[{op.exec_start}..{op.exec_end}] "
-        f"sources={[preg for preg, _ in op.sources]}"
+        f"sources={[producer.dest_preg for producer in op.sources]}"
     )

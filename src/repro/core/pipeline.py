@@ -37,13 +37,13 @@ from collections import deque
 from repro.core.config import MachineConfig
 from repro.core.stats import LifetimeRecord, SimStats
 from repro.errors import RenameError, SimulationError
-from repro.frontend.fetch import FrontEnd
+from repro.frontend.fetch import PLAN_MISS, FrontEnd
 from repro.isa.instruction import NUM_ARCH_REGS
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.predict.degree_of_use import DegreeOfUsePredictor
 from repro.regfile.backing import BackingFile
-from repro.regfile.indexing import make_index_policy
+from repro.regfile.indexing import IndexPolicy, make_index_policy
 from repro.regfile.insertion import make_insertion_policy
 from repro.regfile.physical import PhysicalRegisterFile
 from repro.regfile.register_cache import RegisterCache
@@ -60,10 +60,6 @@ _ISSUED = 1
 #: whose L1 miss blocks issue in that cycle. Each slot is None or a
 #: non-empty list.
 _FILLS, _LOOKUPS, _DCACHE, _WRITEBACKS, _RESOLVES, _READY, _BLOCKED = range(7)
-
-#: Rename-map entry for a source never written in the trace (a
-#: preinitialized environment register): always ready, no cache set.
-_NO_SOURCE = (-1, -1)
 
 #: Functional-unit class -> dense index into per-class lists.
 _FU_INDEX = {op_class: index for index, op_class in enumerate(OpClass)}
@@ -106,43 +102,44 @@ class _Op:
     """One in-flight dynamic instruction.
 
     An op that allocates a destination register is also that register's
-    producer record (``Pipeline.producers[dest_preg]``) from rename until
-    the register is freed; the producer fields at the end are set only
-    for such ops.
+    producer: the rename map holds it from rename until a later writer
+    of the same architectural register replaces it, and
+    ``Pipeline.producers[dest_preg]`` holds it until the register is
+    freed. ``sources`` lists the producer ops of the op's renamed
+    sources; a source with no earlier writer in the trace (a
+    preinitialized register, always ready) is dropped. A producer is
+    freed only after its consumers retire, so these references stay
+    valid while the op is in flight.
+
+    Fields are set when first needed: the constructor sets only those
+    read before dispatch or issue writes them. ``issue_time``,
+    ``exec_start`` and ``exec_end`` exist once the op has issued
+    (``status == _ISSUED``); ``dest_set``, ``pred_eff``, ``pinned`` and
+    the producer fields from ``alloc_time`` on exist only for ops with a
+    destination (``dest_preg >= 0``), and ``predicted`` only for those
+    when the run has a predictor; ``src_producer_seqs`` (the producer
+    seq of each architectural source, -1 for a never-written one) only
+    with ``record_timing``. ``earliest_value`` is a sound lower bound on
+    the op's issue cycle: producer completion times only ever grow.
     """
 
     __slots__ = (
         "seq", "dyn", "sources", "dest_preg", "dest_set", "prev_preg",
         "pred_eff", "pinned", "predicted", "mispredicted",
         "status", "issue_time", "exec_start", "exec_end", "unready",
-        "src_producer_seqs", "earliest_epoch", "earliest_value",
+        "src_producer_seqs", "earliest_value",
         # Producer side.
-        "alloc_time", "uses_renamed", "bypass_first", "bypass_total",
-        "last_read", "waiters",
+        "alloc_time", "bypass_first", "bypass_total", "last_read",
+        "waiters",
     )
 
     def __init__(self, seq, dyn):
         self.seq = seq
         self.dyn = dyn
-        self.sources = ()
         self.dest_preg = -1
-        self.dest_set = -1
         self.prev_preg = -1
-        self.pred_eff = 0
-        self.pinned = False
-        self.predicted = None
         self.mispredicted = False
         self.status = _WAITING
-        self.issue_time = -1
-        self.exec_start = -1
-        self.exec_end = -1
-        self.unready = 0
-        self.src_producer_seqs: tuple[int, ...] = ()
-        # Issue-readiness memo: a sound lower bound on the cycle this op
-        # could first issue, and the producer-state epoch it was computed
-        # in (epoch equality means the bound is exact, see _earliest).
-        self.earliest_epoch = -1
-        self.earliest_value = 0
 
 
 class Pipeline:
@@ -171,10 +168,11 @@ class Pipeline:
         # first, as a stack allocator behaves — the reuse pattern that
         # makes preg-derived cache indexing conflict-prone, paper §4.1),
         # the checked-out flags, and the architectural map, whose
-        # entries are (preg, assigned cache set) pairs.
+        # entries are the producer ops of the current mappings (each
+        # carries its preg and assigned cache set).
         self._free_pregs: list[int] = list(range(num_pregs))
         self._preg_allocated = [False] * num_pregs
-        self._arch_map: list[tuple[int, int] | None] = [None] * NUM_ARCH_REGS
+        self._arch_map: list[_Op | None] = [None] * NUM_ARCH_REGS
         #: preg -> the op producing its current value (None when free).
         self.producers: list[_Op | None] = [None] * num_pregs
 
@@ -189,6 +187,8 @@ class Pipeline:
         self.insertion = None
         self.index_policy = None
         self._assign_set = None
+        # index_policy.release, for the policies that track sets.
+        self._release_set = None
         if config.storage == "register_cache":
             assoc = config.cache_assoc or config.cache_entries
             num_sets = config.cache_entries // assoc
@@ -209,6 +209,8 @@ class Pipeline:
             )
             if self.index_policy.decoupled:
                 self._assign_set = self.index_policy.assign
+            if type(self.index_policy).release is not IndexPolicy.release:
+                self._release_set = self.index_policy.release
         elif config.storage == "monolithic":
             self.rf = PhysicalRegisterFile(
                 num_pregs, config.rf_read_latency,
@@ -222,16 +224,19 @@ class Pipeline:
                 free_threshold=config.two_level_free_threshold,
             )
 
+        # Trace-invariant precompute, shared across every configuration
+        # simulating this trace: each value's degree of use, the
+        # predictor slot of each record and each record's unit class.
         self.predictor: DegreeOfUsePredictor | None = None
+        self._use_counts = trace.analysis().use_counts
+        self._predictor_slots: list[tuple[int, int]] = []
         if config.predictor_enabled and config.storage == "register_cache":
             self.predictor = DegreeOfUsePredictor(
                 entries=config.predictor_entries,
                 assoc=config.predictor_assoc,
                 wrongpath_noise=config.wrongpath_use_noise,
             )
-        # Trace-invariant precompute, shared (and disk-cached) across
-        # every configuration simulating this trace.
-        self.fcf = trace.analysis().fcf
+            self._predictor_slots = self.predictor.slots_for(trace)
         self._fu_class = fu_classes_for(trace)
         self._fu_limits = [
             config.fu_counts.get(op_class, 1) for op_class in OpClass
@@ -263,11 +268,6 @@ class Pipeline:
         self._wrongpath_reserved = 0
         #: seq -> issued _Op, populated when config.record_timing is set.
         self.issue_log: dict[int, _Op] = {}
-
-        # Producer-state epoch backing the _earliest memo: bumped
-        # whenever any producer's exec_end changes, so an unchanged
-        # epoch proves a cached readiness bound is still exact.
-        self._pepoch = 0
 
     # ------------------------------------------------------------------
 
@@ -371,53 +371,48 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Event processing.
 
-    def _process_fills(self, events: list[tuple[int, int]], now: int) -> None:
+    def _process_fills(self, events: list[_Op], now: int) -> None:
+        """Write each missed producer's value into the cache, if its
+        register is still allocated."""
         producers = self.producers
-        cache = self.cache
-        if cache is None:
-            return
         fill_default = self.config.fill_default
-        cache_write = cache.write
-        for preg, assigned_set in events:
+        cache_write = self.cache.write
+        for producer in events:
+            preg = producer.dest_preg
             if producers[preg] is not None:
                 cache_write(
-                    preg, assigned_set, fill_default,
+                    preg, producer.dest_set, fill_default,
                     pinned=False, now=now, is_fill=True,
                 )
 
     def _process_lookups(
-        self, events: list[tuple[_Op, int, int]], now: int
+        self, events: list[tuple[_Op, _Op]], now: int
     ) -> bool:
-        """Probe the register cache; True when a miss blocks issue now."""
+        """Probe the register cache for each ``(consumer, producer)``
+        storage read; True when a miss blocks issue now."""
         cache = self.cache
         backing = self.backing
         assert cache is not None and backing is not None
-        producers = self.producers
         stats = self.stats
         lookup = cache.lookup
         write_latency = backing.write_latency
         missed = False
-        for op, preg, assigned_set in events:
-            if lookup(preg, assigned_set, now):
+        for op, producer in events:
+            if lookup(producer.dest_preg, producer.dest_set, now):
                 continue
             # Miss: squash this cycle's issue group and fetch the value
-            # from the backing file (paper §5.2 replay model).
+            # from the backing file (paper §5.2 replay model). The
+            # consumer issued, so its producer has issued too.
             stats.rc_miss_events += 1
             missed = True
-            producer = producers[preg]
-            written_at = (
-                producer.exec_end + 1 + write_latency
-                if producer is not None and producer.status == _ISSUED
-                else now
+            available = backing.schedule_read(
+                now + 1, producer.exec_end + 1 + write_latency,
             )
-            available = backing.schedule_read(now + 1, written_at)
             if available > op.exec_start:
                 latency = op.exec_end - op.exec_start
                 op.exec_start = available
                 op.exec_end = available + latency
-                if op.dest_preg >= 0:
-                    self._pepoch += 1
-            _push(self._events, available, _FILLS, (preg, assigned_set))
+            _push(self._events, available, _FILLS, producer)
         return missed
 
     def _process_dcache(self, events: list[_Op], now: int) -> None:
@@ -433,8 +428,6 @@ class Pipeline:
             extra = load(op.dyn.mem_addr, op.dyn.pc, now)
             if extra:
                 op.exec_end += extra
-                if op.dest_preg >= 0:
-                    self._pepoch += 1
                 # Load-hit speculation replay: the squash loop contains
                 # the register read, so its cost scales with read latency.
                 stats.load_miss_replays += 1
@@ -443,26 +436,32 @@ class Pipeline:
                     _push(self._events, detection + offset, _BLOCKED, op)
 
     def _process_writebacks(self, events: list[_Op], now: int) -> None:
+        """Write back each value whose execution ends this cycle: into
+        the backing file and, as the insertion policy admits, the cache
+        (register-cache runs), or into the monolithic file. Two-level
+        runs schedule no writebacks."""
         cache = self.cache
-        rf = self.rf
+        written = 0
         for op in events:
             requeue_at = op.exec_end + 1
             if requeue_at != now:
                 _push(self._events, requeue_at, _WRITEBACKS, op)
                 continue
-            preg = op.dest_preg
+            written += 1
             if cache is not None:
-                self.backing.record_write()
                 if self.insertion.admit(op.pred_eff, op.bypass_first, op.pinned):
                     remaining = op.pred_eff - op.bypass_total
                     cache.write(
-                        preg, op.dest_set,
+                        op.dest_preg, op.dest_set,
                         remaining if remaining > 0 else 0, op.pinned, now,
                     )
                 else:
-                    cache.record_filtered_write(preg)
-            elif rf is not None:
-                rf.record_write()
+                    cache.record_filtered_write(op.dest_preg)
+        if written:
+            if cache is not None:
+                self.backing.record_write(written)
+            else:
+                self.rf.record_write(written)
 
     def _process_resolves(self, events: list[_Op], now: int) -> None:
         for op in events:
@@ -497,13 +496,14 @@ class Pipeline:
         memory = self.memory
         producers = self.producers
         predictor = self.predictor
+        slots = self._predictor_slots
+        use_counts = self._use_counts
         cache = self.cache
-        index_policy = self.index_policy
+        release_set = self._release_set
         two_level = self.two_level
         preg_allocated = self._preg_allocated
         free_pregs = self._free_pregs
         lifetimes = self.stats.lifetimes
-        fcf = self.fcf
         retired_this = 0
         stores_this = 0
         while rob and retired_this < retire_width:
@@ -533,12 +533,16 @@ class Pipeline:
                     producer.alloc_time, write_time, last_read, now
                 ))
             if predictor is not None:
-                uses = producer.uses_renamed
-                predictor.train(producer.dyn.pc, fcf[producer.seq], uses)
-                predictor.record_outcome(producer.predicted, uses)
+                # Every consumer of the value precedes the op that
+                # displaced it, so the trace's use count is final here.
+                seq = producer.seq
+                predictor.train_slot(
+                    slots[seq], use_counts[seq], producer.predicted,
+                )
             if cache is not None:
                 cache.invalidate(preg, now)
-                index_policy.release(producer.dest_set, producer.pred_eff)
+                if release_set is not None:
+                    release_set(producer.dest_set, producer.pred_eff)
             if two_level is not None:
                 two_level.free(preg)
             if not preg_allocated[preg]:
@@ -557,14 +561,16 @@ class Pipeline:
         """Issue up to ``issue_width`` ready ops from this cycle's group.
 
         Returns the number issued. Operand classification (inlined in
-        the source loop below for speed): for a producer completing at
+        the source loops below for speed): for a producer completing at
         ``exec_end``, a consumer may issue from ``exec_end -
-        read_latency`` (first-stage bypass, kind 1), through the
-        remaining bypass stages (kind 2), and from storage (kind 3) once
-        the value is written back — cache/L1 at ``exec_end + 1``,
-        monolithic file at ``exec_end + W - R`` with read-during-write
-        forwarding. Kind 0 = not ready yet; an unissued (or freed)
-        producer defers the consumer to ``now + 1``.
+        read_latency`` (first-stage bypass), through the remaining
+        bypass stages, and from storage once the value is written back —
+        cache/L1 at ``exec_end + 1``, monolithic file at ``exec_end + W -
+        R`` with read-during-write forwarding. Otherwise the operand is
+        not ready yet; an unissued producer defers the consumer to
+        ``now + 1``. A first pass over the sources checks readiness;
+        once the op issues, a second pass accounts each operand's source
+        (nothing changes a producer's ``exec_end`` in between).
         """
         # Groups are usually appended in seq order already; only sort
         # when an out-of-order append actually happened.
@@ -578,7 +584,6 @@ class Pipeline:
         issue_width = self.config.issue_width
         fu_class = self._fu_class
         fu_limits = self._fu_limits
-        producers = self.producers
         read_latency = self.read_latency
         bypass_stages = self.bypass_stages
         rf = self.rf
@@ -604,53 +609,32 @@ class Pipeline:
                 for leftover in candidates[position:]:
                     _push(events, now + 1, _READY, leftover)
                 break
-            # Readiness-memo fast path: earliest_value is a sound lower
-            # bound on this op's issue cycle (producer exec_end values
-            # only ever grow), so a retry before it cannot succeed and
-            # the source scan can be skipped entirely.
+            # earliest_value is a sound lower bound on this op's issue
+            # cycle, so a retry before it cannot succeed and the source
+            # scan can be skipped entirely.
             if now < op.earliest_value:
                 _push(events, op.earliest_value, _READY, op)
                 continue
-            kinds: list[int] = []
-            kinds_append = kinds.append
-            next_time = now
-            is_ready = True
-            for preg, _assigned in op.sources:
-                if preg < 0:
-                    kinds_append(-1)
-                    continue
-                producer = producers[preg]
-                if producer is None or producer.status != _ISSUED:
-                    # Producer not yet issued (waiters should prevent
-                    # this) or already freed; not ready until next cycle.
-                    is_ready = False
-                    when = now + 1
-                    if when > next_time:
-                        next_time = when
+            sources = op.sources
+            retry_at = 0
+            for producer in sources:
+                if producer.status != _ISSUED:
+                    # Waiters should prevent this; retry next cycle.
+                    retry_at = now + 1
                     break
                 exec_end = producer.exec_end
                 earliest = exec_end - read_latency
                 if now < earliest:
-                    is_ready = False
-                    if earliest > next_time:
-                        next_time = earliest
+                    retry_at = earliest
                     break
-                if now < earliest + bypass_stages:
-                    kinds_append(1 if now == earliest else 2)
-                    continue
-                storage_from = exec_end + storage_delta
-                if now >= storage_from:
-                    kinds_append(3)
-                    continue
-                is_ready = False
-                if storage_from > next_time:
-                    next_time = storage_from
-                break
-            if not is_ready:
-                when = next_time if next_time > now + 1 else now + 1
-                op.earliest_value = when
-                op.earliest_epoch = self._pepoch
-                _push(events, when, _READY, op)
+                if now >= earliest + bypass_stages:
+                    storage_from = exec_end + storage_delta
+                    if now < storage_from:
+                        retry_at = storage_from
+                        break
+            if retry_at:
+                op.earliest_value = retry_at
+                _push(events, retry_at, _READY, op)
                 continue
             op_class = fu_class[op.seq]
             used = fu_used[op_class]
@@ -672,36 +656,28 @@ class Pipeline:
             op.exec_end = exec_end
             if record_timing:
                 self.issue_log[op.seq] = op
-            for (preg, assigned_set), kind in zip(op.sources, kinds):
-                if kind < 0:
-                    continue
-                producer = producers[preg]
-                if kind == 1:
-                    producer.bypass_first += 1
+            for producer in sources:
+                earliest = producer.exec_end - read_latency
+                if now < earliest + bypass_stages:
                     producer.bypass_total += 1
                     n_bypass += 1
-                    n_bypass_first += 1
-                elif kind == 2:
-                    producer.bypass_total += 1
-                    n_bypass += 1
+                    if now == earliest:
+                        producer.bypass_first += 1
+                        n_bypass_first += 1
                 else:
                     n_storage += 1
                     if cache is not None:
-                        _push(
-                            events, now + 1, _LOOKUPS,
-                            (op, preg, assigned_set),
-                        )
+                        _push(events, now + 1, _LOOKUPS, (op, producer))
                     elif rf is not None:
-                        rf.record_read()
                         n_rf_reads += 1
                 if record_lifetimes and producer.last_read < exec_start:
                     producer.last_read = exec_start
                 if two_level is not None:
-                    two_level.consumer_executed(preg, now)
+                    two_level.consumer_executed(producer.dest_preg, now)
 
             if op.dest_preg >= 0:
-                self._pepoch += 1
-                _push(events, exec_end + 1, _WRITEBACKS, op)
+                if two_level is None:
+                    _push(events, exec_end + 1, _WRITEBACKS, op)
                 waiters = op.waiters
                 op.waiters = None  # nothing waits on an issued producer
                 if waiters:
@@ -720,36 +696,24 @@ class Pipeline:
         stats.operands_bypass += n_bypass
         stats.operands_bypass_first += n_bypass_first
         stats.operands_storage += n_storage
-        stats.rf_reads += n_rf_reads
+        if n_rf_reads:
+            rf.record_read(n_rf_reads)
+            stats.rf_reads += n_rf_reads
         self.window_count -= issued
         return issued
 
     def _earliest(self, op: _Op) -> int:
         """Earliest first-stage-bypass cycle over *op*'s issued producers.
 
-        Memoized per (op, producer-state epoch): an unchanged epoch
-        means no producer's ``exec_end`` moved since the value was
-        computed, so the cached value is exact. A stale value is still
-        kept on the op as :attr:`_Op.earliest_value` — producer times
-        only grow, so it remains a sound lower bound the issue loop can
-        retry against without rescanning sources.
+        Also records it as the op's :attr:`_Op.earliest_value` bound.
         """
-        epoch = self._pepoch
-        if op.earliest_epoch == epoch:
-            return op.earliest_value
         earliest = 0
-        producers = self.producers
         read_latency = self.read_latency
-        for preg, _assigned in op.sources:
-            if preg < 0:
-                continue
-            producer = producers[preg]
-            if producer is None or producer.status != _ISSUED:
-                continue
-            candidate = producer.exec_end - read_latency
-            if candidate > earliest:
-                earliest = candidate
-        op.earliest_epoch = epoch
+        for producer in op.sources:
+            if producer.status == _ISSUED:
+                candidate = producer.exec_end - read_latency
+                if candidate > earliest:
+                    earliest = candidate
         op.earliest_value = earliest
         return earliest
 
@@ -779,15 +743,17 @@ class Pipeline:
         record_timing = config.record_timing
         frontend = self.frontend
         next_ready = frontend.next_ready
-        queue = frontend.queue
+        records = frontend.records
+        ready_at = frontend.ready_at
+        plan = frontend.branch_plan
         two_level = self.two_level
         predictor = self.predictor
+        slots = self._predictor_slots
         assign_set = self._assign_set
         free_pregs = self._free_pregs
         preg_allocated = self._preg_allocated
         arch_map = self._arch_map
         producers = self.producers
-        fcf = self.fcf
         events = self._events
         read_latency = self.read_latency
         rob = self.rob
@@ -798,18 +764,19 @@ class Pipeline:
         dispatched = False
         # One front-end probe per dispatch slot, as the stage consumes
         # its queue. Only the first probe's fill can fetch anything
-        # unless it stopped on a full queue: then every pop makes room
-        # and each later probe must fill again.
-        fetched = next_ready(now)
-        refill = len(queue) >= frontend.queue_capacity
+        # unless it stopped on a full queue: then every dispatch makes
+        # room and each later probe must fill again.
+        index = next_ready(now)
+        next_index = frontend.next_index
+        refill = next_index - frontend.head >= frontend.queue_capacity
         while True:
             if window_count >= window_size or rob_count >= rob_size:
-                if fetched is not None:
+                if index >= 0:
                     stall = 1
                 break
-            if fetched is None:
+            if index < 0:
                 break
-            dyn = fetched.dyn
+            dyn = records[index]
             dest = dyn.dest
             if dest is not None:
                 if two_level is not None:
@@ -830,57 +797,60 @@ class Pipeline:
                 elif len(free_pregs) <= self._wrongpath_reserved:
                     stall = 1
                     break
-            queue.popleft()
+            frontend.head = index + 1
             dispatched = True
 
             seq = dyn.seq
             op = _Op(seq, dyn)
-            if fetched.mispredicted:
+            if plan[index] & PLAN_MISS:
                 op.mispredicted = True
                 self._reserve_wrongpath()
 
-            # Rename: look the sources up in the map, then allocate the
-            # destination and install its mapping.
+            # Rename: look the sources' producers up in the map, then
+            # allocate the destination and install its mapping.
             sources = []
             for arch in dyn.sources:
                 if not 0 <= arch < NUM_ARCH_REGS:
                     raise RenameError(
                         f"architectural register {arch} out of range"
                     )
-                mapping = arch_map[arch]
-                sources.append(_NO_SOURCE if mapping is None else mapping)
+                producer = arch_map[arch]
+                if producer is not None:
+                    sources.append(producer)
             op.sources = sources
+            if record_timing:
+                op.src_producer_seqs = tuple(
+                    -1 if arch_map[arch] is None else arch_map[arch].seq
+                    for arch in dyn.sources
+                )
 
             if dest is not None:
                 predicted = None
                 if predictor is not None:
-                    predicted = predictor.predict(dyn.pc, fcf[seq])
+                    predicted = predictor.predict_slot(slots[seq])
                     op.predicted = predicted
                 raw = unknown_default if predicted is None else predicted
                 pred_eff = raw if raw < max_use else max_use
-                pinned = bool(
+                op.pred_eff = pred_eff
+                op.pinned = bool(
                     pin_at_max and predicted is not None
                     and pred_eff == max_use
                 )
-                op.pred_eff = pred_eff
-                op.pinned = pinned
 
                 if not free_pregs:
                     raise RenameError("physical register freelist exhausted")
                 dest_preg = free_pregs.pop()
                 preg_allocated[dest_preg] = True
-                dest_set = -1 if assign_set is None else assign_set(pred_eff)
                 if not 0 <= dest < NUM_ARCH_REGS:
                     raise RenameError(
                         f"architectural register {dest} out of range"
                     )
                 displaced = arch_map[dest]
-                arch_map[dest] = (dest_preg, dest_set)
+                arch_map[dest] = op
                 op.dest_preg = dest_preg
-                op.dest_set = dest_set
+                op.dest_set = -1 if assign_set is None else assign_set(pred_eff)
 
                 op.alloc_time = now
-                op.uses_renamed = 0
                 op.bypass_first = 0
                 op.bypass_total = 0
                 op.last_read = -1
@@ -889,29 +859,19 @@ class Pipeline:
                 if two_level is not None:
                     two_level.allocate(dest_preg)
                 if displaced is not None:
-                    prev_preg = displaced[0]
+                    prev_preg = displaced.dest_preg
                     op.prev_preg = prev_preg
                     if two_level is not None:
                         two_level.reassigned(prev_preg, now)
 
-            # Count each producer's renamed uses and wait on the ones
-            # not yet issued (after the destination is in place: the
-            # two-level move engine sees reassignment before the new
-            # pending consumer, as rename orders them).
-            if record_timing:
-                op.src_producer_seqs = tuple(
-                    producers[preg].seq if preg >= 0 else -1
-                    for preg, _assigned in sources
-                )
+            # Wait on the producers not yet issued (after the destination
+            # is in place: the two-level move engine sees reassignment
+            # before the new pending consumer, as rename orders them).
             unready = 0
             earliest = 0
-            for preg, _assigned in sources:
-                if preg < 0:
-                    continue
-                producer = producers[preg]
-                producer.uses_renamed += 1
+            for producer in sources:
                 if two_level is not None:
-                    two_level.add_pending_consumer(preg)
+                    two_level.add_pending_consumer(producer.dest_preg)
                 if producer.status == _ISSUED:
                     # The _earliest bound, computed in the same pass.
                     candidate = producer.exec_end - read_latency
@@ -922,7 +882,6 @@ class Pipeline:
                     unready += 1
             op.unready = unready
             if unready == 0:
-                op.earliest_epoch = self._pepoch
                 op.earliest_value = earliest
                 _push(
                     events, earliest if earliest > now else now + 1,
@@ -935,11 +894,11 @@ class Pipeline:
             if budget <= 0:
                 break
             if refill:
-                fetched = next_ready(now)
-            elif queue and queue[0].ready_at <= now:
-                fetched = queue[0]
+                index = next_ready(now)
             else:
-                fetched = None
+                index += 1
+                if index >= next_index or ready_at[index] > now:
+                    index = -1
         self.window_count = window_count
         if stall:
             self.stats.dispatch_stall_cycles += 1

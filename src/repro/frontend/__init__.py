@@ -2,11 +2,10 @@
 
 from repro.frontend.branch import BimodalPredictor, SaturatingCounter, YagsPredictor
 from repro.frontend.btb import IndirectPredictor, ReturnAddressStack
-from repro.frontend.fetch import FetchedInst, FrontEnd
+from repro.frontend.fetch import FrontEnd
 
 __all__ = [
     "BimodalPredictor",
-    "FetchedInst",
     "FrontEnd",
     "IndirectPredictor",
     "ReturnAddressStack",

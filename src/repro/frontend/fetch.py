@@ -16,22 +16,26 @@ stage. It models:
 Wrong-path instructions are not injected; their cost is the fetch gap
 plus the refill depth, matching the paper's minimum 15-cycle
 misprediction loop when the register read takes one cycle.
+
+The fetch queue holds no objects: fetch writes each record's
+dispatch-ready cycle into :attr:`FrontEnd.ready_at` (one int per trace
+record), and the queue is the index range ``[head, next_index)`` of the
+trace. Whether a record is a mispredicted branch is read from the
+branch plan (``branch_plan[index] & PLAN_MISS``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.frontend.branch import YagsPredictor
 from repro.frontend.btb import IndirectPredictor, ReturnAddressStack
 from repro.isa.instruction import LINK_REG
-from repro.vm.trace import DynamicInst, Trace
+from repro.vm.trace import Trace
 
 
 #: Branch-plan codes, one per trace record: bit 0 = counts toward
 #: ``branches_seen`` (a conditional branch), bit 1 = mispredicted.
 _PLAN_COND = 1
-_PLAN_MISS = 2
+PLAN_MISS = 2
 
 #: A cycle no simulation reaches: :meth:`FrontEnd.wake_after`'s "not
 #: until something else happens".
@@ -71,7 +75,7 @@ def branch_plan_for(trace: Trace) -> list[int]:
             predicted = direction.predict(dyn.pc)
             direction.update(dyn.pc, dyn.taken)
             if predicted != dyn.taken:
-                code |= _PLAN_MISS
+                code |= PLAN_MISS
         elif dyn.is_indirect:
             if inst.src1 == LINK_REG and inst.dest is None:
                 # Return: predict through the RAS.
@@ -80,7 +84,7 @@ def branch_plan_for(trace: Trace) -> list[int]:
                 predicted_target = indirect.predict(dyn.pc)
                 indirect.update(dyn.pc, dyn.target)
             if predicted_target != dyn.target:
-                code |= _PLAN_MISS
+                code |= PLAN_MISS
         # Direct jumps/branches have perfect targets (perfect BTB).
         if inst.dest == LINK_REG:
             ras.push(dyn.pc + 1)
@@ -90,24 +94,6 @@ def branch_plan_for(trace: Trace) -> list[int]:
     except AttributeError:  # slotted/frozen trace: recompute per call
         pass
     return plan
-
-
-class FetchedInst:
-    """A fetched instruction waiting for dispatch.
-
-    Attributes:
-        dyn: the dynamic instruction.
-        ready_at: earliest cycle the dispatch stage may consume it.
-        mispredicted: True when this is a branch the front end predicted
-            incorrectly; fetch stops after it until ``resume`` is called.
-    """
-
-    __slots__ = ("dyn", "ready_at", "mispredicted")
-
-    def __init__(self, dyn: DynamicInst, ready_at: int, mispredicted: bool):
-        self.dyn = dyn
-        self.ready_at = ready_at
-        self.mispredicted = mispredicted
 
 
 class FrontEnd:
@@ -149,10 +135,15 @@ class FrontEnd:
 
         self.branch_plan = branch_plan_for(trace)
 
-        #: Fetched instructions in program order; dispatch consumes the
-        #: head (after :meth:`next_ready` says it is dispatchable).
-        self.queue: deque[FetchedInst] = deque()
-        self._next_index = 0
+        #: Per trace record: the first cycle the dispatch stage may
+        #: consume it, written when fetch reaches the record.
+        self.ready_at = [0] * len(self.records)
+        #: The fetch queue is the record-index range ``[head, next_index)``:
+        #: fetched, in program order, not yet dispatched. Dispatch
+        #: consumes the head by advancing ``head`` once
+        #: :meth:`next_ready` says it is dispatchable.
+        self.head = 0
+        self.next_index = 0
         self._fetch_cycle = 0
         self._slots_left = fetch_width
         self._stalled_for_branch = False
@@ -165,7 +156,7 @@ class FrontEnd:
 
     def exhausted(self) -> bool:
         """True when the whole trace has been fetched and dispatched."""
-        return self._next_index >= len(self.records) and not self.queue
+        return self.head >= len(self.records)
 
     def resume(self, cycle: int) -> None:
         """Restart fetch after a mispredicted branch resolves at *cycle*.
@@ -178,34 +169,34 @@ class FrontEnd:
         self._slots_left = self.fetch_width
         self._last_line = -1
 
-    def pull(self, now: int, max_count: int) -> list[FetchedInst]:
-        """Return up to *max_count* instructions dispatchable at *now*.
+    def pull(self, now: int, max_count: int) -> list[int]:
+        """Dispatch up to *max_count* records dispatchable at *now*.
 
-        The caller is responsible for further admission control (window,
-        ROB, and physical-register availability); instructions not
-        consumed remain queued.
+        Returns their trace indices. The caller is responsible for
+        further admission control (window, ROB, and physical-register
+        availability); records not consumed remain queued.
         """
         self._fill_queue(now)
-        queue = self.queue
-        out: list[FetchedInst] = []
-        while queue and len(out) < max_count and queue[0].ready_at <= now:
-            out.append(queue.popleft())
-        return out
+        first = head = self.head
+        stop = min(self.next_index, head + max_count)
+        ready_at = self.ready_at
+        while head < stop and ready_at[head] <= now:
+            head += 1
+        self.head = head
+        return list(range(first, head))
 
-    def next_ready(self, now: int) -> FetchedInst | None:
-        """Head of the queue if dispatchable at *now*, without consuming.
+    def next_ready(self, now: int) -> int:
+        """Index of the queue head if dispatchable at *now*, else -1.
 
         This is the dispatch stage's fast path: one fetch-ahead fill and
-        one queue probe per call. Consume the returned instruction with
-        ``queue.popleft()``.
+        one queue probe per call, without consuming. Consume the
+        returned record by advancing :attr:`head`.
         """
         self._fill_queue(now)
-        queue = self.queue
-        if queue:
-            head = queue[0]
-            if head.ready_at <= now:
-                return head
-        return None
+        head = self.head
+        if head < self.next_index and self.ready_at[head] <= now:
+            return head
+        return -1
 
     def wake_after(self, now: int) -> int:
         """First cycle after *now* at which :meth:`next_ready` can change.
@@ -218,16 +209,17 @@ class FrontEnd:
         :meth:`resume` and a dispatch from the queue void the answer.
         Returns :data:`NEVER` when only they can change anything.
         """
-        queue = self.queue
+        head = self.head
+        next_index = self.next_index
         wake = NEVER
         if not (
             self._stalled_for_branch
-            or self._next_index >= len(self.records)
-            or len(queue) >= self.queue_capacity
+            or next_index >= len(self.records)
+            or next_index - head >= self.queue_capacity
         ):
             wake = self._fetch_cycle
-        if queue:
-            ready_at = queue[0].ready_at
+        if head < next_index:
+            ready_at = self.ready_at[head]
             if now < ready_at < wake:
                 wake = ready_at
         return wake if wake > now else now + 1
@@ -243,15 +235,11 @@ class FrontEnd:
         if self._stalled_for_branch:
             return
         records = self.records
-        total = len(records)
-        next_index = self._next_index
-        if next_index >= total:
-            return
-        queue = self.queue
-        capacity = self.queue_capacity
+        next_index = self.next_index
+        # Fetch stops at the end of the trace or a full queue.
+        stop = min(len(records), self.head + self.queue_capacity)
         fetch_cycle = self._fetch_cycle
-        queue_len = len(queue)
-        if fetch_cycle > now or queue_len >= capacity:
+        if next_index >= stop or fetch_cycle > now:
             return
         fetch_width = self.fetch_width
         front_depth = self.front_depth
@@ -259,11 +247,11 @@ class FrontEnd:
         icache = self.icache
         slots_left = self._slots_left
         last_line = self._last_line
-        append = queue.append
+        ready_at = self.ready_at
         plan = self.branch_plan
-        while next_index < total and queue_len < capacity \
-                and fetch_cycle <= now:
-            dyn = records[next_index]
+        while next_index < stop and fetch_cycle <= now:
+            index = next_index
+            dyn = records[index]
             next_index += 1
 
             line = dyn.pc // line_insts
@@ -275,32 +263,27 @@ class FrontEnd:
                         fetch_cycle += stall
                         slots_left = fetch_width
 
-            ends_block = False
-            mispredicted = False
+            ready_at[index] = fetch_cycle + front_depth
+            slots_left -= 1
             if dyn.is_branch:
-                code = plan[next_index - 1]
+                code = plan[index]
                 if code & _PLAN_COND:
                     self.branches_seen += 1
-                if code & _PLAN_MISS:
-                    mispredicted = True
+                if code & PLAN_MISS:
+                    # Fetch stops; the pipeline calls resume() at
+                    # resolution.
                     self.mispredicts += 1
-                if dyn.taken or mispredicted:
-                    ends_block = True
-
-            append(FetchedInst(dyn, fetch_cycle + front_depth, mispredicted))
-            queue_len += 1
-
-            slots_left -= 1
-            if mispredicted:
-                # Fetch stops; the pipeline calls resume() at resolution.
-                self._stalled_for_branch = True
-                break
-            if ends_block or slots_left == 0:
+                    self._stalled_for_branch = True
+                    break
+                if dyn.taken:
+                    fetch_cycle += 1
+                    slots_left = fetch_width
+                    last_line = -1
+                    continue
+            if slots_left == 0:
                 fetch_cycle += 1
                 slots_left = fetch_width
-                if ends_block:
-                    last_line = -1
-        self._next_index = next_index
+        self.next_index = next_index
         self._fetch_cycle = fetch_cycle
         self._slots_left = slots_left
         self._last_line = last_line

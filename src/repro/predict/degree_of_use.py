@@ -107,14 +107,37 @@ class DegreeOfUsePredictor:
         self.queries = 0
         self.supplied = 0
         self.correct = 0
-        self._outstanding: dict[int, int] = {}
 
     # ------------------------------------------------------------------
 
+    def slot(self, pc: int, fcf: int) -> tuple[int, int]:
+        """The ``(set index, tag)`` that *pc* under *fcf* maps to."""
+        return (pc ^ (fcf << 5)) % self.num_sets, ((pc >> 2) ^ fcf) & self.tag_mask
+
+    def slots_for(self, trace: Trace) -> list[tuple[int, int]]:
+        """Per-record :meth:`slot`, memoized on the trace.
+
+        The slot depends only on a record's pc and future control flow
+        and on the predictor's geometry, so every configuration with the
+        same geometry shares one list per trace and no query hashes.
+        """
+        memo = getattr(trace, "_predictor_slots", None)
+        if memo is None:
+            memo = trace._predictor_slots = {}
+        key = (self.num_sets, self.tag_mask)
+        slots = memo.get(key)
+        if slots is None:
+            slot = self.slot
+            fcf = trace.analysis().fcf
+            slots = memo[key] = [
+                slot(record.pc, fcf[seq])
+                for seq, record in enumerate(trace.records)
+            ]
+        return slots
+
     def _locate(self, pc: int, fcf: int) -> tuple[list[_Entry], int]:
-        index = (pc ^ (fcf << 5)) % self.num_sets
-        tag = ((pc >> 2) ^ fcf) & self.tag_mask
-        return self._sets[index], tag
+        set_index, tag = self.slot(pc, fcf)
+        return self._sets[set_index], tag
 
     def predict(self, pc: int, fcf: int) -> int | None:
         """Predicted degree of use, or ``None`` when not confident.
@@ -122,9 +145,13 @@ class DegreeOfUsePredictor:
         A confident prediction equal to :attr:`max_prediction` means "this
         many uses *or more*" — callers treat it as a saturated count.
         """
+        return self.predict_slot(self.slot(pc, fcf))
+
+    def predict_slot(self, slot: tuple[int, int]) -> int | None:
+        """:meth:`predict` for a precomputed :meth:`slot`."""
         self.queries += 1
-        entries, tag = self._locate(pc, fcf)
-        for entry in entries:
+        set_index, tag = slot
+        for entry in self._sets[set_index]:
             if entry.tag == tag:
                 self._clock += 1
                 entry.lru = self._clock
@@ -134,12 +161,33 @@ class DegreeOfUsePredictor:
                 return None
         return None
 
-    def train(self, pc: int, fcf: int, actual_uses: int) -> None:
-        """Train with the observed *actual_uses* of the value at *pc*."""
-        if self.wrongpath_noise and self._rng.random() < self.wrongpath_noise:
-            actual_uses = max(0, actual_uses + self._rng.choice((-1, 1)))
+    def train(
+        self, pc: int, fcf: int, actual_uses: int,
+        predicted: int | None = None,
+    ) -> None:
+        """Train with the observed *actual_uses* of the value at *pc*.
+
+        *predicted* is what :meth:`predict` supplied for the value, if
+        anything; a supplied prediction equal to the (saturated) actual
+        count is scored as correct for :attr:`accuracy`.
+        """
+        self.train_slot(self.slot(pc, fcf), actual_uses, predicted)
+
+    def train_slot(
+        self, slot: tuple[int, int], actual_uses: int,
+        predicted: int | None = None,
+    ) -> None:
+        """:meth:`train` for a precomputed :meth:`slot`."""
         actual = min(actual_uses, self.max_prediction)
-        entries, tag = self._locate(pc, fcf)
+        if predicted is not None and predicted == actual:
+            self.correct += 1
+        if self.wrongpath_noise and self._rng.random() < self.wrongpath_noise:
+            actual = min(
+                max(0, actual_uses + self._rng.choice((-1, 1))),
+                self.max_prediction,
+            )
+        set_index, tag = slot
+        entries = self._sets[set_index]
         self._clock += 1
         for entry in entries:
             if entry.tag == tag:
@@ -159,16 +207,8 @@ class DegreeOfUsePredictor:
             entries[victim] = new_entry
 
     # ------------------------------------------------------------------
-    # Accuracy accounting: callers record each supplied prediction and
-    # later resolve it against the actual count.
-
-    def record_outcome(self, predicted: int | None, actual_uses: int) -> None:
-        """Score one resolved prediction for accuracy statistics."""
-        if predicted is None:
-            return
-        actual = min(actual_uses, self.max_prediction)
-        if predicted == actual:
-            self.correct += 1
+    # Accuracy accounting: train() scores each supplied prediction
+    # against the actual count.
 
     @property
     def accuracy(self) -> float:

@@ -42,9 +42,9 @@ class BackingFile:
         # Cycle -> reads already scheduled that cycle (port arbitration).
         self._port_schedule: dict[int, int] = {}
 
-    def record_write(self) -> None:
-        """Account for one result write (every produced value)."""
-        self.writes += 1
+    def record_write(self, count: int = 1) -> None:
+        """Account for *count* result writes (every produced value)."""
+        self.writes += count
 
     def schedule_read(self, earliest: int, value_written_at: int) -> int:
         """Schedule a miss-fill read; returns the cycle data is available.
@@ -65,13 +65,15 @@ class BackingFile:
         while self._port_schedule.get(start, 0) >= self.read_ports:
             start += 1
         self._port_schedule[start] = self._port_schedule.get(start, 0) + 1
-        # Garbage-collect old slots occasionally to bound memory.
+        # Garbage-collect old slots occasionally to bound memory. Only
+        # cycles before *earliest* can go: requests never ask for an
+        # earlier cycle again (the pipeline's earliest is now + 1), but
+        # a later booking may still land on any cycle from it on.
         if len(self._port_schedule) > 4096:
-            horizon = start - 64
             self._port_schedule = {
                 cycle: count
                 for cycle, count in self._port_schedule.items()
-                if cycle >= horizon
+                if cycle >= earliest
             }
         self.reads += 1
         return start + self.read_latency

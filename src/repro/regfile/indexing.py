@@ -4,8 +4,9 @@
 the baseline the paper criticizes, since physical register ids come off a
 freelist and carry no locality. *Decoupled* indexing assigns an arbitrary
 set at rename time; the assignment travels with the mapping through the
-rename map (the ``(preg, set)`` entries of the pipeline's architectural
-map, :mod:`repro.core.pipeline`).
+rename map (the pipeline's architectural map holds each mapping's
+producer op, which carries the preg and its assigned set,
+:mod:`repro.core.pipeline`).
 
 Implemented policies (paper §4.2):
 
@@ -39,7 +40,11 @@ class IndexPolicy(abc.ABC):
         """Assign a set for a value with *pred_uses* predicted consumers."""
 
     def release(self, set_index: int, pred_uses: int) -> None:
-        """Notify that a value assigned to *set_index* was freed."""
+        """Notify that a value assigned to *set_index* was freed.
+
+        Only policies that track their sets' contents override this; the
+        pipeline skips the call for the others.
+        """
 
     def set_for(self, preg: int, assigned_set: int) -> int:
         """Resolve the set used for accesses to *preg*.

@@ -43,9 +43,9 @@ class PhysicalRegisterFile:
         """Account for operand reads served by the file."""
         self.reads += operands
 
-    def record_write(self) -> None:
-        """Account for one result write into the file."""
-        self.writes += 1
+    def record_write(self, count: int = 1) -> None:
+        """Account for *count* result writes into the file."""
+        self.writes += count
 
     def storage_ready_time(self, producer_complete: int) -> int:
         """Earliest cycle a consumer may issue to read a value from storage.

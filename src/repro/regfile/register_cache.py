@@ -9,7 +9,8 @@ The structure also owns the non-performance statistics the paper reports
 in Figures 8-10 and Table 2: miss taxonomy (filtered / conflict /
 capacity), write filtering effects, occupancy, entry lifetimes, reads per
 cached value, and per-value cache counts. All statistics are maintained
-incrementally so they cost O(1) per access.
+incrementally so they cost O(1) per access; the occupancy integral is
+derived from the entry lifetimes once, by :meth:`RegisterCache.finalize`.
 """
 
 from __future__ import annotations
@@ -218,6 +219,9 @@ class RegisterCache:
             )
         self.replacement = replacement
         self.index_policy = index_policy
+        # Standard indexing derives the set from the preg; accesses do
+        # that inline instead of asking the policy.
+        self._standard = not index_policy.decoupled
         self.stats = CacheStats()
 
         self._sets: list[list[CacheEntry]] = [[] for _ in range(self.num_sets)]
@@ -227,21 +231,23 @@ class RegisterCache:
         # Per-allocation bookkeeping (reset by invalidate).
         self._cached_count_this_alloc: dict[int, int] = {}
         self._valid = 0
-        self._last_occupancy_update = 0
 
     # ------------------------------------------------------------------
-    # Time-weighted occupancy bookkeeping.
-
-    def _touch_occupancy(self, now: int) -> None:
-        if now > self._last_occupancy_update:
-            self.stats.occupancy_integral += self._valid * (
-                now - self._last_occupancy_update
-            )
-            self._last_occupancy_update = now
+    # Time-weighted occupancy.
 
     def finalize(self, now: int) -> None:
-        """Flush occupancy accounting at end of simulation."""
-        self._touch_occupancy(now)
+        """Derive the occupancy integral at the end of simulation.
+
+        Every cached instance is valid from its write until it departs,
+        so the time-weighted valid count up to *now* is the summed
+        lifetime of the departed instances plus the residents' time so
+        far. Accesses must come in non-decreasing time order, as the
+        pipeline issues them.
+        """
+        self.stats.occupancy_integral = self.stats.lifetime_sum + sum(
+            now - entry.written_at
+            for entries in self._sets for entry in entries
+        )
 
     @property
     def occupancy(self) -> int:
@@ -250,10 +256,6 @@ class RegisterCache:
 
     # ------------------------------------------------------------------
     # Access paths.
-
-    def set_for(self, preg: int, assigned_set: int) -> int:
-        """Set index used for *preg* given its rename-time assignment."""
-        return self.index_policy.set_for(preg, assigned_set)
 
     def contains(self, preg: int) -> bool:
         """True when *preg*'s value is currently cached."""
@@ -267,7 +269,7 @@ class RegisterCache:
         recorded (Figure 8 taxonomy).
         """
         self.stats.reads += 1
-        set_index = self.set_for(preg, assigned_set)
+        set_index = preg % self.num_sets if self._standard else assigned_set
         stored = self._where.get(preg)
         if stored is not None:
             if stored != set_index:
@@ -307,9 +309,8 @@ class RegisterCache:
         the write unconditionally. Writing a preg already present
         refreshes the entry in place.
         """
-        set_index = self.set_for(preg, assigned_set)
+        set_index = preg % self.num_sets if self._standard else assigned_set
         entries = self._sets[set_index]
-        self._touch_occupancy(now)
 
         if preg in self._where:
             # Refresh in place (e.g. a fill racing a pending write).
@@ -370,7 +371,6 @@ class RegisterCache:
         Also closes out the per-allocation statistics for the value,
         whether or not it was ever cached.
         """
-        self._touch_occupancy(now)
         set_index = self._where.pop(preg, None)
         if set_index is not None:
             entries = self._sets[set_index]

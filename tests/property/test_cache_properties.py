@@ -116,3 +116,50 @@ def test_use_based_victim_minimizes_remaining(remainings):
     evicted = next(p for p in (0, 1) if not cache.contains(p))
     survivor = 1 - evicted
     assert remainings[evicted] <= remainings[survivor]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=operations,
+    steps=st.lists(st.integers(min_value=0, max_value=3), min_size=200,
+                   max_size=200),
+    tail=st.integers(min_value=0, max_value=5),
+    entries_assoc=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 0)]),
+    use_based=st.booleans(),
+)
+def test_occupancy_integral_is_time_weighted_valid_count(
+    ops, steps, tail, entries_assoc, use_based,
+):
+    """The occupancy integral ``finalize`` derives equals the valid-entry
+    count summed over every cycle, tracked here from the entries
+    themselves. Several accesses may share a cycle."""
+    entries, assoc = entries_assoc
+    cache, index = build_cache(entries, assoc, True, use_based)
+    assigned: dict[int, int] = {}
+    now = 0
+    last = 0
+    integral = 0
+    for (action, preg, remaining, pinned), step in zip(ops, steps):
+        now += step
+        integral += len(cache.entries()) * (now - last)
+        last = now
+        if action in ("write", "lookup"):
+            set_index = assigned.get(preg)
+            if set_index is None:
+                set_index = assigned[preg] = index.assign(remaining)
+            if action == "write":
+                cache.write(preg, set_index, remaining, pinned, now,
+                            is_fill=pinned)
+            else:
+                cache.lookup(preg, set_index, now)
+        elif action == "filtered":
+            cache.record_filtered_write(preg)
+        else:
+            cache.invalidate(preg, now)
+            assigned.pop(preg, None)
+    end = now + tail
+    integral += len(cache.entries()) * (end - last)
+    cache.finalize(end)
+    assert cache.stats.occupancy_integral == integral
+    cache.finalize(end)  # idempotent
+    assert cache.stats.occupancy_integral == integral

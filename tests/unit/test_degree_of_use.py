@@ -77,14 +77,28 @@ def test_accuracy_accounting():
         predictor.train(7, 0, 1)
     supplied = predictor.predict(7, 0)
     assert supplied == 1
-    predictor.record_outcome(supplied, 1)
+    predictor.train(7, 0, 1, supplied)
     assert predictor.correct == 1
     assert predictor.accuracy == 1.0
 
 
-def test_record_outcome_ignores_none():
+def test_accuracy_scores_against_saturated_count():
+    predictor = DegreeOfUsePredictor(prediction_bits=4)
+    predictor.train(7, 0, 500, 15)  # 500 uses saturate to 15
+    predictor.train(7, 0, 3, 2)
+    assert predictor.correct == 1
+
+
+def test_accuracy_scores_unperturbed_count():
+    noisy = DegreeOfUsePredictor(wrongpath_noise=1.0, seed=3)
+    noisy.train(5, 0, 3, 3)
+    assert noisy.correct == 1
+
+
+def test_train_ignores_unsupplied_prediction():
     predictor = DegreeOfUsePredictor()
-    predictor.record_outcome(None, 3)
+    predictor.train(7, 0, 3, None)
+    predictor.train(7, 0, 3)
     assert predictor.correct == 0
 
 
@@ -126,3 +140,46 @@ def test_coverage_property():
     assert predictor.queries == 2
     assert predictor.supplied == 1
     assert predictor.coverage == 0.5
+
+
+@pytest.mark.parametrize("entries,assoc,tag_bits", [
+    (4_096, 4, 6), (64, 2, 3), (12, 3, 10),
+])
+def test_slots_for_matches_locate_on_every_record(entries, assoc, tag_bits):
+    trace = run_program(assemble("""
+        addi r1, r0, 20
+    loop:
+        addi r2, r1, 3
+        add r3, r2, r1
+        addi r1, r1, -1
+        bne r1, r0, loop
+        halt
+    """))
+    predictor = DegreeOfUsePredictor(entries, assoc, tag_bits)
+    slots = predictor.slots_for(trace)
+    fcf = trace.analysis().fcf
+    assert len(slots) == len(trace.records)
+    for seq, record in enumerate(trace.records):
+        set_index, tag = slots[seq]
+        entries_list, expected_tag = predictor._locate(record.pc, fcf[seq])
+        assert predictor._sets[set_index] is entries_list
+        assert tag == expected_tag
+
+
+def test_slots_for_memoized_per_geometry():
+    trace = run_program(assemble("addi r1, r0, 1\nhalt"))
+    first = DegreeOfUsePredictor().slots_for(trace)
+    assert DegreeOfUsePredictor(wrongpath_noise=0.5).slots_for(trace) is first
+    other = DegreeOfUsePredictor(entries=64).slots_for(trace)
+    assert other is not first
+
+
+def test_slot_paths_match_pc_paths():
+    by_pc = DegreeOfUsePredictor(confidence_threshold=1)
+    by_slot = DegreeOfUsePredictor(confidence_threshold=1)
+    slot = by_slot.slot(100, 0b101)
+    for uses in (2, 2, 3, 3, 3):
+        assert by_pc.predict(100, 0b101) == by_slot.predict_slot(slot)
+        by_pc.train(100, 0b101, uses)
+        by_slot.train_slot(slot, uses)
+    assert (by_pc.queries, by_pc.supplied) == (by_slot.queries, by_slot.supplied)

@@ -1,6 +1,6 @@
 """Unit tests for the trace-driven front end."""
 
-from repro.frontend.fetch import FrontEnd
+from repro.frontend.fetch import PLAN_MISS, FrontEnd
 from repro.isa.assembler import assemble
 from repro.vm.machine import run_program
 
@@ -11,12 +11,12 @@ def make_frontend(source, **kwargs):
 
 
 def drain(frontend, start=0, limit=10_000):
-    """Pull everything, returning (dyn, dispatch_cycle) pairs."""
+    """Pull everything, returning (record index, dispatch_cycle) pairs."""
     out = []
     now = start
     while not frontend.exhausted():
-        for fetched in frontend.pull(now, 16):
-            out.append((fetched, now))
+        for index in frontend.pull(now, 16):
+            out.append((index, now))
         now += 1
         if now > limit:
             raise AssertionError("front end did not drain")
@@ -27,7 +27,8 @@ def test_straight_line_respects_front_depth():
     frontend, trace = make_frontend("nop\nnop\nhalt", front_depth=11)
     items = drain(frontend)
     assert len(items) == len(trace)
-    first_fetched, cycle = items[0]
+    first_index, cycle = items[0]
+    assert first_index == 0
     assert cycle == 11  # fetched at 0, available after the front depth
 
 
@@ -37,7 +38,7 @@ def test_fetch_width_limits_per_cycle():
                                 icache=None)
     items = drain(frontend)
     by_cycle = {}
-    for fetched, cycle in items:
+    for _index, cycle in items:
         by_cycle.setdefault(cycle, 0)
         by_cycle[cycle] += 1
     assert max(by_cycle.values()) <= 8
@@ -73,9 +74,9 @@ def test_mispredict_stalls_fetch_until_resume():
     saw_mispredict = False
     pulled = []
     while not frontend.exhausted() and now < 1000:
-        for fetched in frontend.pull(now, 16):
-            pulled.append(fetched)
-            if fetched.mispredicted:
+        for index in frontend.pull(now, 16):
+            pulled.append(index)
+            if frontend.branch_plan[index] & PLAN_MISS:
                 saw_mispredict = True
                 stall_cycle = now
                 frontend.resume(now + 5)
@@ -84,6 +85,7 @@ def test_mispredict_stalls_fetch_until_resume():
         assert frontend.mispredicts >= 1
     # All instructions must eventually be delivered exactly once.
     assert len(pulled) == len(trace)
+    assert pulled == list(range(len(trace)))
 
 
 def test_resume_restarts_fetch_after_cycle():
@@ -99,9 +101,9 @@ def test_resume_restarts_fetch_after_cycle():
     now = 0
     delivered = 0
     while not frontend.exhausted() and now < 1000:
-        for fetched in frontend.pull(now, 16):
+        for index in frontend.pull(now, 16):
             delivered += 1
-            if fetched.mispredicted:
+            if frontend.branch_plan[index] & PLAN_MISS:
                 frontend.resume(now + 3)
         now += 1
     assert delivered == len(trace)
@@ -110,11 +112,11 @@ def test_resume_restarts_fetch_after_cycle():
 def test_peek_does_not_consume():
     frontend, _ = make_frontend("nop\nhalt", front_depth=0)
     first = frontend.next_ready(0)
-    assert first is not None
+    assert first >= 0
     again = frontend.next_ready(0)
-    assert again is first
+    assert again == first
     pulled = frontend.pull(0, 1)
-    assert pulled[0] is first
+    assert pulled[0] == first
 
 
 def test_pull_respects_max_count():
@@ -141,3 +143,24 @@ def test_icache_miss_stalls_fetch():
     # First instruction delayed by the 12-cycle icache miss.
     assert items[0][1] >= 12
     assert icache.calls >= 1
+
+
+def test_queue_is_an_index_range_of_bounded_capacity():
+    source = "\n".join(["nop"] * 100) + "\nhalt"
+    frontend, trace = make_frontend(source, front_depth=3, queue_capacity=48)
+    assert frontend.next_ready(0) == -1  # fetched at 0, ready at 3
+    now = 0
+    while frontend.next_index - frontend.head < 48:
+        now += 1
+        frontend.next_ready(now)
+        assert frontend.next_index - frontend.head <= 48
+    queued = range(frontend.head, frontend.next_index)
+    assert all(frontend.ready_at[index] <= now + 3 for index in queued)
+    assert frontend.ready_at[0] == 3
+    # A full queue fetches nothing more until dispatch advances the head.
+    frontend.next_ready(now + 100)
+    assert frontend.next_index - frontend.head == 48
+    frontend.head += 1
+    frontend.next_ready(now + 100)
+    assert frontend.next_index - frontend.head == 48
+    assert frontend.next_index == 49

@@ -1,15 +1,15 @@
-"""Unit tests for the ``Pipeline._earliest`` readiness memo.
+"""Unit tests for the issue-readiness bound ``_Op.earliest_value``.
 
-The memo caches, per op, the earliest first-stage-bypass cycle over the
-op's issued producers, keyed by the producer-state epoch
-(``Pipeline._pepoch``): while the epoch is unchanged no producer's
-``exec_end`` has moved, so a cached value is exact and repeated queries
-must not rescan the sources. Every code path that moves a producer's
-``exec_end`` bumps the epoch, which forces the next query to rescan.
+Dispatch and ``Pipeline._earliest`` record, per op, the earliest
+first-stage-bypass cycle over the op's issued producers, and a failed
+issue attempt records the cycle it retries at. Producer completion
+times only ever grow, so the value is a sound lower bound on the op's
+issue cycle: the issue stage sends an op that arrives before it straight
+to the bound without scanning its sources.
 """
 
 from repro.core.config import use_based_config
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import _READY, Pipeline, _Op
 from repro.workloads.suite import load_trace
 
 
@@ -20,51 +20,44 @@ def _run_pipeline():
     return pipeline
 
 
-def _op_with_producer(pipeline):
-    """An issued op whose only live producer is its first source's.
-
-    The run has retired everything, so the op's rename-time producer is
-    reinstalled and its other sources are left without one.
-    """
-    for op in pipeline.issue_log.values():
-        seqs = op.src_producer_seqs
-        if not seqs or seqs[0] < 0:
-            continue
-        producer = pipeline.issue_log[seqs[0]]
-        if producer.exec_end <= pipeline.read_latency:
-            continue
-        for preg, _assigned in op.sources:
-            if preg >= 0:
-                pipeline.producers[preg] = None
-        pipeline.producers[op.sources[0][0]] = producer
-        return op, producer
-    raise AssertionError("no op reads a renamed source")
-
-
 def test_memo_exercised_during_run():
-    """Every issued op carries a bound computed at some epoch."""
+    """No op issues before its recorded bound."""
     pipeline = _run_pipeline()
     assert pipeline.issue_log
-    assert all(op.earliest_epoch >= 0 for op in pipeline.issue_log.values())
+    assert any(op.earliest_value > 0 for op in pipeline.issue_log.values())
+    for op in pipeline.issue_log.values():
+        assert op.issue_time >= op.earliest_value
 
 
-def test_memo_returns_cached_bound_within_epoch():
-    """An unchanged epoch returns the cached bound, without a rescan."""
+def test_early_retry_is_sent_to_bound():
+    """An op re-pushed before its bound is deferred to the bound."""
+    trace = load_trace("crc", scale=0.1)
+    pipeline = Pipeline(trace, use_based_config())
+    op = _Op(0, trace.records[0])
+    op.sources = []  # ready now, but for the bound
+    op.earliest_value = 7
+    assert pipeline._issue([op], 3) == 0
+    assert pipeline._events[7][_READY] == [op]
+    assert pipeline._issue(pipeline._events.pop(7)[_READY], 7) == 1
+    assert op.issue_time == 7
+
+
+def test_earliest_follows_producer_times():
+    """The bound is recomputed from the producers on every query."""
     pipeline = _run_pipeline()
-    op, producer = _op_with_producer(pipeline)
-    op.earliest_epoch = -1  # force one fresh computation
+    read_latency = pipeline.read_latency
+    op = next(
+        op for op in pipeline.issue_log.values()
+        if op.sources and max(
+            producer.exec_end for producer in op.sources
+        ) > read_latency
+    )
     first = pipeline._earliest(op)
-    assert first == producer.exec_end - pipeline.read_latency
-    producer.exec_end += 10  # moved without an epoch bump
-    assert pipeline._earliest(op) == first
-
-
-def test_memo_invalidated_by_epoch_bump():
-    """A producer-state change (new epoch) forces a recomputation."""
-    pipeline = _run_pipeline()
-    op, producer = _op_with_producer(pipeline)
-    op.earliest_epoch = -1
-    first = pipeline._earliest(op)
-    producer.exec_end += 10
-    pipeline._pepoch += 1
+    assert first == max(
+        producer.exec_end - read_latency for producer in op.sources
+    )
+    assert op.earliest_value == first
+    for producer in op.sources:
+        producer.exec_end += 10
     assert pipeline._earliest(op) == first + 10
+    assert op.earliest_value == first + 10

@@ -1,5 +1,7 @@
 """Unit tests for the physical, backing, and two-level register files."""
 
+import random
+
 import pytest
 
 from repro.errors import RegisterFileError
@@ -80,6 +82,41 @@ def test_backing_counts_traffic():
     backing.record_write()
     backing.schedule_read(0, 0)
     assert backing.writes == 1 and backing.reads == 1
+
+
+def test_backing_prune_keeps_future_bookings():
+    """Pruning the port schedule never forgets a booked future cycle.
+
+    The schedule is pruned once it holds over 4,096 cycles. A booking
+    far ahead (cycle 9,006) must not drop the cycles between the
+    request's earliest cycle and it: cycle 4,095 is still booked, so a
+    later read that wants it waits for the next cycle.
+    """
+    backing = BackingFile(read_latency=2, read_ports=1)
+    for cycle in range(1, 4090):
+        assert backing.schedule_read(cycle, cycle) == cycle + 2
+    assert backing.schedule_read(4090, 4095) == 4095 + 2
+    assert backing.schedule_read(4091, 9000) == 9000 + 2
+    for cycle in range(9001, 9007):
+        assert backing.schedule_read(4092, cycle) == cycle + 2
+    assert backing.schedule_read(4093, 4095) == 4096 + 2
+
+
+def test_backing_port_never_double_booked():
+    """With non-decreasing request cycles, no cycle starts more reads
+    than there are ports, across many schedule prunes."""
+    rng = random.Random(5)
+    for ports in (1, 2):
+        backing = BackingFile(read_latency=2, read_ports=ports)
+        starts: dict[int, int] = {}
+        earliest = 0
+        for _ in range(20_000):
+            earliest += rng.choice((0, 0, 1))
+            written = earliest + rng.choice((0, 3, 40, 6_000))
+            start = backing.schedule_read(earliest, written) - 2
+            assert start >= max(earliest, written)
+            starts[start] = starts.get(start, 0) + 1
+        assert max(starts.values()) <= ports
 
 
 def test_backing_rejects_bad_params():
