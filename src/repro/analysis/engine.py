@@ -20,25 +20,20 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
 * **Fault tolerance** — each job can carry a wall-clock budget
   (``REPRO_JOB_TIMEOUT``): a worker-side ``SIGALRM`` unwinds a hung
   simulation and an engine-side watchdog terminates workers that
-  cannot even do that. Any failed attempt — error, timeout, crashed
-  worker, invalid result — is retried up to ``REPRO_JOB_RETRIES``
-  times with exponential backoff, in a fresh pool if the old one was
-  poisoned. A crashed worker therefore costs one retry round, not the
-  sweep.
+  cannot even do that. Only timeouts and crashed workers are retried
+  (up to ``REPRO_JOB_RETRIES`` times, in a fresh pool): jobs are
+  deterministic, so an ``error`` or ``invalid`` result would only
+  repeat and is final on its first attempt. A crashed worker therefore
+  costs one retry round, not the sweep.
 * **Validation before caching** — every freshly executed result must
   pass the differential oracle's conservation invariants
   (:func:`repro.testing.oracle.validate_stats`) and a serialization
   round-trip *before* it is returned or written to the result cache,
   so a half-unwound worker can never publish a corrupted result.
-* **Checkpoint/resume** — runs append ``checkpoint`` records
-  (``start`` / ``interrupted`` / ``complete``) to the manifest, and
-  per-job records are written as jobs finish, so a sweep killed by
-  SIGINT or a crash leaves a resumable trail: re-running the same
-  sweep re-executes only the jobs whose results are not yet in the
-  content-addressed cache. With ``REPRO_RESUME`` armed the engine also
-  counts how many cache hits correspond to jobs completed by an
-  earlier (interrupted) run — ``counters.resumed`` — so tests and
-  operators can verify that only the missing jobs re-ran.
+* **Incremental publication** — results are cached and manifest
+  records written as jobs finish, so re-running a sweep killed by
+  SIGINT or a crash executes only the jobs whose results are not yet
+  in the content-addressed cache.
 * **Graceful degradation** — with ``raise_on_error=False`` a sweep
   with failed jobs returns partial results whose failed slots hold
   falsy :class:`JobFailure` records (explicit holes), and every
@@ -54,8 +49,8 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   trace, so one prediction pass per trace per process), simulate. No
   job is grouped with another, so a fault never reaches past its job.
 * **Observability** — the engine counts jobs, cache hits/misses,
-  retries, timeouts, resumed jobs, trace-cache repairs, refused
-  manifest writes, and per-job wall-clock (including p50/p95); it logs
+  retries, timeouts, trace-cache repairs, refused manifest writes,
+  and per-job wall-clock (including p50/p95); it logs
   live progress through :mod:`repro.obs.log`; and every run appends
   per-job records — job identity, config hash, trace provenance, cache
   hit/miss, wall-clock, worker pid, failure traceback — to a JSONL
@@ -71,12 +66,8 @@ Environment knobs (read when the shared engine is created):
 * ``REPRO_CACHE_DIR`` — cache location (default ``.repro-cache``).
 * ``REPRO_JOB_TIMEOUT`` — per-job wall-clock budget in seconds
   (``0``/unset = no budget).
-* ``REPRO_JOB_RETRIES`` — how many times a failed attempt is retried
-  (``0``/unset = fail fast, preserving historical behavior).
-* ``REPRO_RETRY_BACKOFF`` — base delay in seconds between retry
-  rounds; round *n* waits ``backoff * 2**(n-1)`` (default 0.05).
-* ``REPRO_RESUME`` — arm resume accounting: cache hits whose job keys
-  appear as completed in the manifest count as ``resumed``.
+* ``REPRO_JOB_RETRIES`` — how many times a timed-out or crashed
+  attempt is retried (``0``/unset = fail fast).
 * ``REPRO_FAULTS`` — arm the deterministic fault-injection plan (see
   :mod:`repro.testing.faults`); inert unless set.
 * ``REPRO_MANIFEST`` — ``0`` disables run manifests; a path overrides
@@ -118,10 +109,8 @@ from repro.frontend.fetch import branch_plan_for
 from repro.obs.log import ProgressReporter, get_logger
 from repro.obs.manifest import (
     ManifestWriter,
-    completed_job_keys,
     manifest_path_for,
     percentile,
-    read_manifest,
 )
 from repro.testing import faults, oracle
 from repro.vm.trace import Trace
@@ -137,8 +126,8 @@ _tmp_counter = itertools.count()
 #: (e.g. when the cache file layout itself changes).
 CACHE_SCHEMA_VERSION = 1
 
-#: Ceiling on the exponential retry backoff, seconds.
-MAX_RETRY_BACKOFF = 30.0
+#: Outcomes worth another attempt: the rest repeat deterministically.
+_TRANSIENT = ("timeout", "crash")
 
 _code_fingerprint_memo: str | None = None
 
@@ -271,12 +260,6 @@ class JobFailure:
         return False
 
 
-def _sweep_key(keys: Sequence[str | None]) -> str:
-    """Stable identity of a sweep: the set of job cache keys it covers."""
-    material = json.dumps(sorted(key for key in keys if key is not None))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-
-
 # ----------------------------------------------------------------------
 # Worker shim.
 
@@ -382,7 +365,6 @@ class EngineCounters:
     errors: int = 0
     retries: int = 0
     timeouts: int = 0
-    resumed: int = 0
     parallel_jobs: int = 0
     serial_fallbacks: int = 0
     job_seconds: float = 0.0
@@ -416,7 +398,6 @@ class EngineCounters:
             "errors": self.errors,
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "resumed": self.resumed,
             "parallel_jobs": self.parallel_jobs,
             "serial_fallbacks": self.serial_fallbacks,
             "job_seconds": round(self.job_seconds, 6),
@@ -458,7 +439,7 @@ class ExperimentEngine:
     """Executes lists of :class:`SimJob` with fan-out and memoization.
 
     Args:
-        workers: default worker count for :meth:`run`; ``None`` reads
+        workers: worker count for :meth:`run`; ``None`` reads
             ``REPRO_JOBS`` (unset = 1, i.e. serial), ``0`` means one
             worker per CPU.
         cache_dir: on-disk result cache location; ``None`` reads
@@ -467,13 +448,9 @@ class ExperimentEngine:
             ``REPRO_CACHE`` (anything but ``0``/``false`` enables).
         job_timeout: per-job wall-clock budget in seconds; ``None``
             reads ``REPRO_JOB_TIMEOUT`` (default 0 = unbounded).
-        retries: bounded retry count for failed attempts; ``None``
-            reads ``REPRO_JOB_RETRIES`` (default 0 = fail fast).
-        retry_backoff: base delay between retry rounds; ``None`` reads
-            ``REPRO_RETRY_BACKOFF`` (default 0.05s, doubling per round,
-            capped at :data:`MAX_RETRY_BACKOFF`).
-        resume: count cache hits recorded as completed in the manifest
-            as resumed jobs; ``None`` reads ``REPRO_RESUME``.
+        retries: how many times a timed-out or crashed job is
+            retried; ``None`` reads ``REPRO_JOB_RETRIES`` (default 0 =
+            fail fast).
     """
 
     def __init__(
@@ -483,8 +460,6 @@ class ExperimentEngine:
         use_cache: bool | None = None,
         job_timeout: float | None = None,
         retries: int | None = None,
-        retry_backoff: float | None = None,
-        resume: bool | None = None,
     ) -> None:
         if workers is None:
             workers = _parse_jobs(os.environ.get("REPRO_JOBS"))
@@ -507,16 +482,6 @@ class ExperimentEngine:
         if retries is None:
             retries = _parse_int(os.environ.get("REPRO_JOB_RETRIES"), 0)
         self.retries = max(0, retries)
-        if retry_backoff is None:
-            retry_backoff = _parse_float(
-                os.environ.get("REPRO_RETRY_BACKOFF"), 0.05,
-            )
-        self.retry_backoff = max(0.0, retry_backoff)
-        if resume is None:
-            resume = os.environ.get("REPRO_RESUME", "").lower() in (
-                "1", "true", "on", "yes",
-            )
-        self.resume = bool(resume)
         self.counters = EngineCounters()
         #: Every JobFailure this engine has returned (graceful-degradation
         #: consumers read the tail to report holes).
@@ -533,7 +498,6 @@ class ExperimentEngine:
         self,
         jobs: Iterable[SimJob],
         *,
-        workers: int | None = None,
         raise_on_error: bool = True,
     ) -> list[SimStats | JobFailure]:
         """Execute *jobs*, returning results in job order.
@@ -541,12 +505,12 @@ class ExperimentEngine:
         Cached results are loaded without simulating; the remainder run
         serially or across a process pool, with per-job timeouts and
         bounded retries when configured. Results and manifest records
-        are published incrementally as jobs finish, so an interrupted
-        run leaves a resumable trail (re-running skips everything
-        already cached). With ``raise_on_error`` (the default) the
-        first captured failure re-raises as :class:`EngineError`;
-        otherwise failed slots hold falsy :class:`JobFailure` records
-        and the sweep degrades to partial results.
+        are published incrementally as jobs finish, so re-running an
+        interrupted sweep executes only the jobs it never finished.
+        With ``raise_on_error`` (the default) the first captured
+        failure re-raises as :class:`EngineError`; otherwise failed
+        slots hold falsy :class:`JobFailure` records and the sweep
+        degrades to partial results.
         """
         start = time.perf_counter()
         jobs = list(jobs)
@@ -555,14 +519,7 @@ class ExperimentEngine:
         results: list[SimStats | JobFailure | None] = [None] * len(jobs)
         run_id = uuid.uuid4().hex[:12]
         keys = [job.cache_key() if job.cacheable else None for job in jobs]
-        sweep = _sweep_key(keys)
-
         refused_before = self.manifest.write_failures if self.manifest else 0
-        resumable: frozenset[str] = frozenset()
-        if self.resume and self.manifest is not None:
-            resumable = completed_job_keys(
-                read_manifest(self.manifest.path),
-            )
 
         prelude: list[dict] = []
         pending: list[int] = []
@@ -572,13 +529,11 @@ class ExperimentEngine:
                 cached = self._cache_load(job, key=key)
                 if cached is not None:
                     counters.cache_hits += 1
-                    if key in resumable:
-                        counters.resumed += 1
                     results[index] = cached
                     if self.manifest is not None:
                         prelude.append(
                             self._manifest_record(
-                                run_id, sweep, job, key, cached=True,
+                                run_id, job, key, cached=True,
                                 status="ok", wall=0.0, worker=None,
                             )
                         )
@@ -586,19 +541,13 @@ class ExperimentEngine:
                 counters.cache_misses += 1
             pending.append(index)
 
-        workers = self._resolve_workers(workers, len(pending)) if pending \
-            else 0
+        workers = max(1, min(self.workers, len(pending))) if pending else 0
         _log.info(
-            "run %s: %d jobs (%d cached, %d resumed, %d to execute, "
-            "%d workers)",
-            run_id, len(jobs), len(jobs) - len(pending),
-            counters.resumed, len(pending), workers,
+            "run %s: %d jobs (%d cached, %d to execute, %d workers)",
+            run_id, len(jobs), len(jobs) - len(pending), len(pending),
+            workers,
         )
-        if self.manifest is not None and jobs:
-            prelude.append(self._checkpoint_record(
-                run_id, sweep, "start", jobs=len(jobs),
-                cached=len(jobs) - len(pending), pending=len(pending),
-            ))
+        if self.manifest is not None:
             self.manifest.append_all(prelude)
 
         failures: list[JobFailure] = []
@@ -615,52 +564,37 @@ class ExperimentEngine:
                 total=len(pending), logger=_log,
                 label=f"run {run_id}",
             )
-            try:
-                recovery = self._execute_with_recovery(
-                    pending_jobs, workers, progress,
-                )
-                for local_index, outcome in recovery:
-                    index = pending[local_index]
-                    job = jobs[index]
-                    status, payload, wall, worker = outcome
-                    counters.record_job(wall)
-                    if status == "ok":
-                        if self.use_cache and keys[index] is not None:
-                            self._cache_store(job, payload, key=keys[index])
-                        results[index] = payload
-                        error = None
-                    else:
-                        counters.errors += 1
-                        failure = JobFailure(
-                            job=job, error=payload, kind=status,
-                        )
-                        failures.append(failure)
-                        results[index] = failure
-                        error = payload
-                        _log.warning(
-                            "run %s: job %s failed (%s) on worker %s",
-                            run_id, job.describe(), status, worker,
-                        )
-                    if self.manifest is not None:
-                        self.manifest.append(
-                            self._manifest_record(
-                                run_id, sweep, job, keys[index],
-                                cached=False, status=status, wall=wall,
-                                worker=worker, error=error,
-                            )
-                        )
-            except BaseException:
-                # SIGINT / crash mid-sweep: record where we got to so a
-                # resumed run can prove it only re-ran the missing jobs.
-                counters.engine_seconds += time.perf_counter() - start
+            recovery = self._execute_with_recovery(
+                pending_jobs, workers, progress,
+            )
+            for local_index, outcome in recovery:
+                index = pending[local_index]
+                job = jobs[index]
+                status, payload, wall, worker = outcome
+                counters.record_job(wall)
+                if status == "ok":
+                    if self.use_cache and keys[index] is not None:
+                        self._cache_store(job, payload, key=keys[index])
+                    results[index] = payload
+                    error = None
+                else:
+                    counters.errors += 1
+                    failure = JobFailure(job=job, error=payload, kind=status)
+                    failures.append(failure)
+                    results[index] = failure
+                    error = payload
+                    _log.warning(
+                        "run %s: job %s failed (%s) on worker %s",
+                        run_id, job.describe(), status, worker,
+                    )
                 if self.manifest is not None:
-                    self.manifest.append(self._checkpoint_record(
-                        run_id, sweep, "interrupted", jobs=len(jobs),
-                        done=sum(
-                            1 for slot in results if slot is not None
-                        ),
-                    ))
-                raise
+                    self.manifest.append(
+                        self._manifest_record(
+                            run_id, job, keys[index], cached=False,
+                            status=status, wall=wall, worker=worker,
+                            error=error,
+                        )
+                    )
             trace_delta = trace_counters().since(trace_before)
             counters.traces_generated += int(trace_delta["traces_generated"])
             counters.traces_loaded += int(trace_delta["traces_loaded"])
@@ -677,25 +611,19 @@ class ExperimentEngine:
         counters.engine_seconds += engine_wall
         if self.manifest is not None and jobs:
             refused = self.manifest.write_failures - refused_before
-            self.manifest.append_all([
-                {
-                    "kind": "run",
-                    "run": run_id,
-                    "ts": round(time.time(), 3),
-                    "jobs": len(jobs),
-                    "cached": len(jobs) - len(pending),
-                    "executed": len(pending),
-                    "errors": len(failures),
-                    "workers": self.workers,
-                    "engine_seconds": round(engine_wall, 6),
-                    "trace_cache_repairs": repairs,
-                    "manifest_write_failures": refused,
-                },
-                self._checkpoint_record(
-                    run_id, sweep, "complete", jobs=len(jobs),
-                    errors=len(failures),
-                ),
-            ])
+            self.manifest.append({
+                "kind": "run",
+                "run": run_id,
+                "ts": round(time.time(), 3),
+                "jobs": len(jobs),
+                "cached": len(jobs) - len(pending),
+                "executed": len(pending),
+                "errors": len(failures),
+                "workers": self.workers,
+                "engine_seconds": round(engine_wall, 6),
+                "trace_cache_repairs": repairs,
+                "manifest_write_failures": refused,
+            })
             counters.manifest_write_failures += (
                 self.manifest.write_failures - refused_before
             )
@@ -714,7 +642,6 @@ class ExperimentEngine:
     def _manifest_record(
         self,
         run_id: str,
-        sweep: str,
         job: SimJob,
         key: str | None,
         *,
@@ -727,7 +654,6 @@ class ExperimentEngine:
         record = {
             "kind": "job",
             "run": run_id,
-            "sweep": sweep,
             "ts": round(time.time(), 3),
             "job": job.describe(),
             "trace": [job.trace_name, float(job.scale), job.seed],
@@ -742,26 +668,11 @@ class ExperimentEngine:
             record["error"] = error
         return record
 
-    def _checkpoint_record(
-        self, run_id: str, sweep: str, event: str, **extra,
-    ) -> dict:
-        record = {
-            "kind": "checkpoint",
-            "run": run_id,
-            "sweep": sweep,
-            "event": event,
-            "ts": round(time.time(), 3),
-            "workers": self.workers,
-        }
-        record.update(extra)
-        return record
-
     def run_grid(
         self,
         traces: dict[str, Trace],
         config: MachineConfig,
         *,
-        workers: int | None = None,
         raise_on_error: bool = True,
     ) -> dict[str, SimStats | JobFailure]:
         """Simulate every named trace under *config* (cached, parallel).
@@ -773,8 +684,7 @@ class ExperimentEngine:
             SimJob.for_trace(trace, config, label=name)
             for name, trace in traces.items()
         ]
-        stats = self.run(jobs, workers=workers,
-                         raise_on_error=raise_on_error)
+        stats = self.run(jobs, raise_on_error=raise_on_error)
         return dict(zip(traces.keys(), stats))
 
     # ------------------------------------------------------------------
@@ -804,41 +714,26 @@ class ExperimentEngine:
             except Exception:
                 pass
 
-    def _resolve_workers(self, workers: int | None, pending: int) -> int:
-        if workers is None:
-            workers = self.workers
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        return max(1, min(workers, pending))
-
     def _execute_with_recovery(
         self,
         jobs: Sequence[SimJob],
         workers: int,
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
-        """Yield ``(index, final_outcome)`` per job, retrying failures.
+        """Yield ``(index, final_outcome)`` per job, retrying transients.
 
-        Jobs run in rounds: every job that did not reach a valid ``ok``
-        outcome — error, timeout, crashed worker, or a result rejected
-        by the oracle — is retried in the next round (fresh pool, so a
-        poisoned pool costs one round), up to :attr:`retries` extra
-        attempts with exponential backoff between rounds. Outcomes are
-        yielded as soon as they are final, so the caller can cache and
-        checkpoint incrementally.
+        Jobs run in rounds. A job that timed out or whose worker crashed
+        is retried in the next round (fresh pool, so a poisoned pool
+        costs one round), up to :attr:`retries` extra attempts. An
+        ``error`` or a result rejected by the oracle is final at once:
+        the simulation is deterministic and would fail the same way
+        again. Outcomes are yielded as soon as they are final, so the
+        caller can cache and record them incrementally.
         """
         counters = self.counters
         remaining = list(range(len(jobs)))
         attempts = [0] * len(jobs)
-        round_no = 0
         while remaining:
-            if round_no > 0:
-                delay = min(
-                    self.retry_backoff * (2 ** (round_no - 1)),
-                    MAX_RETRY_BACKOFF,
-                )
-                if delay > 0:
-                    time.sleep(delay)
             retry: list[int] = []
             round_outcomes = self._run_round(
                 [jobs[i] for i in remaining],
@@ -856,7 +751,7 @@ class ExperimentEngine:
                     if problem is not None:
                         status = "invalid"
                         outcome = ("invalid", problem, wall, worker)
-                if status != "ok" and attempts[index] <= self.retries:
+                if status in _TRANSIENT and attempts[index] <= self.retries:
                     counters.retries += 1
                     _log.warning(
                         "job %s attempt %d ended in %s; retrying",
@@ -866,7 +761,6 @@ class ExperimentEngine:
                     continue
                 yield index, outcome
             remaining = retry
-            round_no += 1
 
     def _validate_result(self, stats: object) -> str | None:
         """Reject a result the oracle or the serializer cannot vouch for.
@@ -898,10 +792,9 @@ class ExperimentEngine:
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
         """Yield ``(local_index, outcome)`` as this round's jobs finish.
 
-        Streaming (rather than returning the round as a batch) is what
-        makes a mid-round interrupt resumable: every finished job has
-        already been folded into results, cache, and manifest by the
-        consumer. If the parallel path dies after partially yielding,
+        Streaming (rather than returning the round as a batch) means an
+        interrupt mid-round loses no finished job: each has already been
+        folded into results, cache, and manifest by the consumer. If the parallel path dies after partially yielding,
         only the jobs it never reported are re-run serially.
         """
         done = [False] * len(jobs)
@@ -1125,8 +1018,6 @@ def configure(
     use_cache: bool | None = None,
     job_timeout: float | None = None,
     retries: int | None = None,
-    retry_backoff: float | None = None,
-    resume: bool | None = None,
 ) -> ExperimentEngine:
     """Replace the shared engine (tests, benchmarks, notebooks).
 
@@ -1137,6 +1028,5 @@ def configure(
     _shared_engine = ExperimentEngine(
         workers=workers, cache_dir=cache_dir, use_cache=use_cache,
         job_timeout=job_timeout, retries=retries,
-        retry_backoff=retry_backoff, resume=resume,
     )
     return _shared_engine

@@ -64,9 +64,6 @@ def _engine_note(meta: dict) -> str | None:
     timeouts = engine.get("timeouts", 0)
     if timeouts:
         parts.append(f"{timeouts} timed out")
-    resumed = engine.get("resumed", 0)
-    if resumed:
-        parts.append(f"{resumed} resumed")
     seconds = engine.get("engine_seconds")
     if isinstance(seconds, (int, float)):
         parts.append(f"{seconds:.2f}s")

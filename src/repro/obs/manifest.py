@@ -13,9 +13,9 @@ trace-cache entries regenerated) and ``manifest_write_failures``
 
 Records are single JSON lines written with one ``os.write`` on an
 ``O_APPEND`` descriptor, so concurrent engine processes interleave whole
-records rather than tearing each other's lines. Readers skip corrupt
-lines (a crash mid-write loses at most one record) and report how many
-they skipped.
+records rather than tearing each other's lines. :func:`read_manifest`
+skips corrupt lines silently, so a crash mid-write loses at most that
+one record.
 
 Knobs: ``REPRO_MANIFEST=0`` disables manifest writing; any other value
 is used as an explicit manifest path (default
@@ -107,11 +107,11 @@ class ManifestWriter:
 
 
 def read_manifest(path: str | os.PathLike) -> list[dict]:
-    """Parse a manifest; corrupt lines are skipped, not fatal.
+    """Parse a manifest into its records, oldest first.
 
-    The number of skipped lines is attached to the returned list as the
-    final summary consumer expects it: via :func:`summarize_manifest`'s
-    ``corrupt_lines`` count recomputed here.
+    Blank lines, lines that are not JSON and JSON values that are not
+    objects are skipped silently; a missing or unreadable file reads as
+    no records.
     """
     records: list[dict] = []
     try:
@@ -166,41 +166,3 @@ def summarize_manifest(records: list[dict]) -> dict:
         "failures": failures,
     }
 
-
-def completed_job_keys(
-    records: list[dict], sweep: str | None = None,
-) -> frozenset[str]:
-    """Cache keys of jobs a manifest records as successfully finished.
-
-    This is the resume set: a restarted sweep whose cache hit matches
-    one of these keys is *resuming* prior work rather than merely
-    enjoying memoization. Restricting to *sweep* narrows the set to one
-    sweep identity (the engine stamps every job record with the sweep
-    key of its run).
-    """
-    keys = set()
-    for record in records:
-        if record.get("kind") != "job" or record.get("status") != "ok":
-            continue
-        if sweep is not None and record.get("sweep") != sweep:
-            continue
-        key = record.get("key")
-        if key:
-            keys.add(key)
-    return frozenset(keys)
-
-
-def checkpoint_events(
-    records: list[dict], sweep: str | None = None,
-) -> list[dict]:
-    """The ``checkpoint`` records of a manifest, oldest first.
-
-    The engine appends ``start`` when a run begins executing,
-    ``interrupted`` when it unwinds on SIGINT/crash, and ``complete``
-    when it finishes — so an interrupted-then-resumed sweep reads as
-    ``start, interrupted, start, complete``.
-    """
-    events = [r for r in records if r.get("kind") == "checkpoint"]
-    if sweep is not None:
-        events = [r for r in events if r.get("sweep") == sweep]
-    return events

@@ -65,9 +65,7 @@ def test_crashed_worker_is_retried_to_success(
     monkeypatch.setenv(
         "REPRO_FAULTS", f"crash=1.0,times=1,seed={chaos_seed}",
     )
-    engine = ExperimentEngine(
-        workers=workers, use_cache=False, retries=2, retry_backoff=0.0,
-    )
+    engine = ExperimentEngine(workers=workers, use_cache=False, retries=2)
     results = engine.run(_jobs())
     assert [stats.to_dict() for stats in results] == baseline
     assert engine.counters.retries >= len(NAMES)
@@ -85,7 +83,6 @@ def test_hung_job_times_out_and_recovers(chaos_seed, monkeypatch, workers):
     )
     engine = ExperimentEngine(
         workers=workers, use_cache=False, job_timeout=0.5, retries=1,
-        retry_backoff=0.0,
     )
     results = engine.run(_jobs())
     assert [stats.to_dict() for stats in results] == baseline

@@ -1,8 +1,8 @@
 """Chaos suite: interrupted sweeps resume; broken results degrade.
 
 Two end-to-end recovery stories. First, a sweep killed mid-run (an
-injected ``KeyboardInterrupt`` between jobs) leaves a checkpoint trail
-that a ``resume=True`` engine uses to re-run *only* the missing jobs.
+injected ``KeyboardInterrupt`` between jobs) has already cached every
+job it finished, so re-running it executes *only* the missing jobs.
 Second, a result the differential oracle rejects becomes an explicit
 hole: the experiment still renders (with its failures called out) and
 the CLI exits 3 instead of publishing silently-partial data.
@@ -14,7 +14,6 @@ from repro.analysis import experiments
 from repro.analysis.engine import ExperimentEngine, SimJob, configure
 from repro.analysis.report import render
 from repro.core.config import use_based_config
-from repro.obs.manifest import checkpoint_events, read_manifest
 from repro.testing import faults
 from repro.workloads.suite import SHORT_SUITE
 from repro.analysis.sweeps import load_traces
@@ -72,18 +71,11 @@ def test_interrupted_sweep_resumes_only_missing_jobs(
 
     monkeypatch.delenv("REPRO_FAULTS")
     faults.reset()
-    second = ExperimentEngine(workers=1, cache_dir=cache, resume=True)
+    second = ExperimentEngine(workers=1, cache_dir=cache)
     results = second.run(_jobs())
     assert all(stats.retired > 0 for stats in results)
-    assert second.counters.resumed == fire_index
     assert second.counters.cache_hits == fire_index
     assert second.counters.executed == len(jobs) - fire_index
-
-    events = checkpoint_events(read_manifest(second.manifest.path))
-    assert [event["event"] for event in events] == [
-        "start", "interrupted", "start", "complete",
-    ]
-    assert events[1]["done"] == fire_index
 
 
 def test_invalid_results_degrade_to_partial_experiment(
