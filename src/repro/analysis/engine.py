@@ -55,8 +55,7 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   per-job records — job identity, config hash, trace provenance, cache
   hit/miss, wall-clock, worker pid, failure traceback — to a JSONL
   manifest under the cache directory (:mod:`repro.obs.manifest`),
-  which the regression gate (``python -m repro.analysis.obs``)
-  summarizes and diffs.
+  which ``python -m repro.analysis.obs summarize`` rolls up.
 
 Environment knobs (read when the shared engine is created):
 

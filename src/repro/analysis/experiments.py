@@ -15,6 +15,9 @@ Run from the command line::
 
     python -m repro.analysis.experiments fig8 table2
     python -m repro.analysis.experiments all
+
+The CLI checks every result against the paper's qualitative shapes
+(:mod:`repro.analysis.claims`) and exits 4 when one breaks.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ def _with_engine_meta(fn):
 
     Wraps an experiment function so its :class:`ExperimentResult`
     carries a ``meta["engine"]`` dict with the shared engine's counter
-    deltas for that experiment — the observability data bench JSONs use
-    to track the harness's own perf trajectory — and, when any jobs
-    failed, a ``meta["failures"]`` list describing the holes (sweeps
-    degrade to partial results instead of raising; the CLI turns a
-    non-empty failure list into exit code 3).
+    deltas for that experiment — the engine note :func:`render` prints
+    under each table — and, when any jobs failed, a ``meta["failures"]``
+    list describing the holes (sweeps degrade to partial results instead
+    of raising; the CLI turns a non-empty failure list into exit code 3
+    and checks no claims on that result).
 
     The trace-factory fields count every trace this process obtained
     for the experiment: the experiment loads its traces before the
@@ -101,9 +104,16 @@ def _scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "0.3"))
 
 
+_SUITES = {"full": DEFAULT_SUITE, "short": SHORT_SUITE}
+
+
 def _names() -> tuple[str, ...]:
     choice = os.environ.get("REPRO_SUITE", "full")
-    return SHORT_SUITE if choice == "short" else DEFAULT_SUITE
+    if choice not in _SUITES:
+        raise ValueError(
+            f"REPRO_SUITE={choice!r}: expected 'full' or 'short'"
+        )
+    return _SUITES[choice]
 
 
 def _traces(scale: float | None = None, names: Iterable[str] | None = None):
@@ -673,7 +683,8 @@ def ablations(scale: float | None = None) -> ExperimentResult:
     )
 
 
-#: Registry used by the CLI and the benchmark harness.
+#: Registry used by the CLI and perfbench; ``repro.analysis.claims.CLAIMS``
+#: holds the shapes each entry's result must show.
 EXPERIMENTS = {
     "table1": table1_config,
     "fig1": fig1_lifetimes,
@@ -734,10 +745,14 @@ def main(argv: list[str] | None = None) -> int:
     (INFO / ERROR; the default comes from ``REPRO_LOG_LEVEL``).
     ``--profile`` wraps each requested experiment in cProfile, printing
     the top-25 cumulative functions and dumping the raw ``.prof`` under
-    the result cache directory. Exit codes: 0 success, 1 usage, 2
-    unknown experiment, 3 when at least one experiment had failing jobs
-    (the remaining experiments still run and render).
+    the result cache directory. After each table renders, its
+    :mod:`~repro.analysis.claims` are checked (only for results without
+    failed jobs) and each broken claim is printed. Exit codes: 0
+    success, 1 usage, 2 unknown experiment, 3 when at least one
+    experiment had failing jobs (the remaining experiments still run
+    and render), 4 when every job ran but a claim broke.
     """
+    from repro.analysis.claims import broken_claims
     from repro.errors import EngineError
     from repro.obs.log import get_logger, setup_logging
 
@@ -762,6 +777,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     requested = list(EXPERIMENTS) if "all" in args else args
     failed: list[str] = []
+    broken: list[str] = []
     for name in requested:
         runner = EXPERIMENTS.get(name)
         if runner is None:
@@ -796,6 +812,12 @@ def main(argv: list[str] | None = None) -> int:
                 "experiment %s completed with %d failed job(s)",
                 name, len(result.meta["failures"]),
             )
+            continue
+        claims = broken_claims(name, result)
+        for claim in claims:
+            print(f"claim broken: {name}: {claim}", file=sys.stderr)
+        if claims:
+            broken.append(name)
     if failed:
         print(
             f"{len(failed)} experiment(s) with failing jobs: "
@@ -803,6 +825,13 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    if broken:
+        print(
+            f"{len(broken)} experiment(s) with broken claims: "
+            f"{', '.join(broken)}",
+            file=sys.stderr,
+        )
+        return 4
     return 0
 
 

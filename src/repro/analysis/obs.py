@@ -1,272 +1,29 @@
-"""Observability CLI: manifest summaries and the regression gate.
+"""Observability CLI: engine run-manifest summaries.
 
-Two subcommands::
+::
 
     python -m repro.analysis.obs summarize <manifest.jsonl> [-o out.json]
-    python -m repro.analysis.obs compare <baseline.json> <current.json>
 
 ``summarize`` rolls an engine run manifest (see
 :mod:`repro.obs.manifest`) into a flat summary — job counts, cache
 hit/miss totals, failure records, wall-clock aggregates — suitable for
-archiving next to bench JSONs.
-
-``compare`` is the regression gate: it extracts comparable numeric
-metrics from two artifacts and exits nonzero when the current one
-regresses past thresholds. It understands every JSON shape the repo
-produces:
-
-* engine manifests (``*.jsonl``) — summarized on the fly,
-* ``summarize`` output (or any flat dict of numbers),
-* pytest-benchmark JSONs (``BENCH_*.json``: per-bench mean seconds plus
-  the engine counters stored in ``extra_info``),
-* :func:`repro.analysis.report.to_json` experiment results (numeric
-  table cells become ``<experiment>.<row>.<column>`` metrics).
-
-Classification is by metric name: IPC/accuracy/coverage must not drop,
-miss rates must not rise, ``*seconds``/``wall*`` must not grow past the
-time tolerance (with an absolute noise floor), and error counts must
-never increase. The bench conftest wires this gate to
-``REPRO_BENCH_BASELINE`` so recorded ``BENCH_*.json`` trajectories
-become enforceable in CI.
+archiving next to an experiment's output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.stats import SimStats
 from repro.obs.manifest import read_manifest, summarize_manifest
-
-#: Default tolerances; all overridable from the CLI.
-REL_TOL_QUALITY = 0.02  # ipc / accuracy / coverage may drop this much
-REL_TOL_RATE = 0.05     # miss rates may rise this much (relative)
-REL_TOL_TIME = 0.25     # wall-clock may grow this much (relative)
-TIME_FLOOR = 0.05       # absolute seconds below which time noise is ignored
-RATE_FLOOR = 0.002      # absolute rate change below which noise is ignored
-
-
-@dataclass
-class Regression:
-    """One gate violation."""
-
-    metric: str
-    baseline: float
-    current: float
-    reason: str
-
-    def __str__(self) -> str:
-        return (
-            f"REGRESSION {self.metric}: {self.baseline:.6g} -> "
-            f"{self.current:.6g} ({self.reason})"
-        )
-
-
-@dataclass
-class Thresholds:
-    """Gate tolerances (see module constants for defaults)."""
-
-    rel_quality: float = REL_TOL_QUALITY
-    rel_rate: float = REL_TOL_RATE
-    rel_time: float = REL_TOL_TIME
-    time_floor: float = TIME_FLOOR
-    rate_floor: float = RATE_FLOOR
-
-
-# ----------------------------------------------------------------------
-# Metric extraction.
-
-
-def suite_summary(results: dict[str, SimStats]) -> dict[str, float]:
-    """Flat gate-comparable summary of a suite run.
-
-    Pools the per-benchmark :class:`SimStats` via :meth:`SimStats.merge`
-    so rates are traffic-weighted, then flattens the headline numbers.
-    """
-    merged = SimStats.merge(results.values())
-    out = {f"suite.{key}": value for key, value in merged.summary().items()}
-    for name, stats in results.items():
-        out[f"bench.{name}.ipc"] = stats.ipc
-        if stats.cache is not None:
-            out[f"bench.{name}.miss_rate"] = stats.cache.miss_rate
-    return out
-
-
-def _from_benchmark_json(data: dict) -> dict[str, float]:
-    """Metrics from a pytest-benchmark JSON (``BENCH_*.json``)."""
-    out: dict[str, float] = {}
-    for bench in data.get("benchmarks", []):
-        name = bench.get("name", "?")
-        stats = bench.get("stats", {})
-        if isinstance(stats.get("mean"), (int, float)):
-            out[f"bench.{name}.seconds"] = float(stats["mean"])
-        engine = bench.get("extra_info", {}).get("engine", {})
-        for key in ("trace_gen_seconds", "trace_load_seconds",
-                    "job_seconds", "errors"):
-            value = engine.get(key)
-            if isinstance(value, (int, float)):
-                out[f"bench.{name}.{key}"] = float(value)
-    return out
-
-
-def _from_experiment_json(data: dict) -> dict[str, float]:
-    """Metrics from a :func:`repro.analysis.report.to_json` artifact."""
-    out: dict[str, float] = {}
-    experiment = data.get("experiment_id", "experiment")
-    headers = data.get("headers", [])
-    for row in data.get("rows", []):
-        if not row:
-            continue
-        label = str(row[0])
-        for header, cell in zip(headers[1:], row[1:]):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-                continue
-            out[f"{experiment}.{label}.{header}"] = float(cell)
-    engine = data.get("meta", {}).get("engine", {})
-    for key in ("errors", "job_seconds", "trace_gen_seconds"):
-        value = engine.get(key)
-        if isinstance(value, (int, float)):
-            out[f"{experiment}.engine.{key}"] = float(value)
-    return out
-
-
-def _from_flat_dict(data: dict) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for key, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        out[str(key)] = float(value)
-    return out
-
-
-def extract_metrics(source: dict | str | Path) -> dict[str, float]:
-    """Comparable numeric metrics from any supported artifact.
-
-    *source* is a parsed JSON object or a path; ``.jsonl`` paths are
-    read as engine manifests and summarized first.
-    """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".jsonl":
-            return _from_flat_dict(summarize_manifest(read_manifest(path)))
-        source = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(source, dict):
-        raise ValueError("unsupported artifact: expected a JSON object")
-    if "benchmarks" in source:
-        return _from_benchmark_json(source)
-    if "experiment_id" in source:
-        return _from_experiment_json(source)
-    return _from_flat_dict(source)
-
-
-# ----------------------------------------------------------------------
-# Comparison.
-
-
-def _is_quality(name: str) -> bool:
-    lowered = name.lower()
-    return any(k in lowered for k in ("ipc", "accuracy", "coverage"))
-
-
-def _is_rate(name: str) -> bool:
-    lowered = name.lower()
-    return "miss_rate" in lowered or lowered.endswith("miss rate")
-
-
-def _is_time(name: str) -> bool:
-    lowered = name.lower()
-    return "seconds" in lowered or "wall" in lowered
-
-
-def _is_errors(name: str) -> bool:
-    lowered = name.lower()
-    return lowered.endswith("errors") or lowered.endswith("failures")
-
-
-def compare_metrics(
-    baseline: dict[str, float],
-    current: dict[str, float],
-    thresholds: Thresholds | None = None,
-) -> tuple[list[Regression], int]:
-    """Gate *current* against *baseline*.
-
-    Only metrics present in both artifacts are compared (a renamed or
-    newly added metric is not a regression), and a metric whose value
-    is non-finite on either side — NaN from a zero-denominator rate,
-    inf from a degenerate ratio — is skipped rather than poisoning the
-    gate (every NaN comparison is False, which would silently pass).
-    Returns the violations and the number of metrics actually compared.
-    """
-    thresholds = thresholds or Thresholds()
-    regressions: list[Regression] = []
-    compared = 0
-    for name in sorted(set(baseline) & set(current)):
-        base, cur = baseline[name], current[name]
-        if not (math.isfinite(base) and math.isfinite(cur)):
-            continue
-        if _is_errors(name):
-            compared += 1
-            if cur > base:
-                regressions.append(Regression(
-                    name, base, cur, "error count increased",
-                ))
-        elif _is_quality(name):
-            compared += 1
-            if cur < base * (1.0 - thresholds.rel_quality) - 1e-12:
-                regressions.append(Regression(
-                    name, base, cur,
-                    f"dropped more than {thresholds.rel_quality:.1%}",
-                ))
-        elif _is_rate(name):
-            compared += 1
-            limit = base * (1.0 + thresholds.rel_rate) + thresholds.rate_floor
-            if cur > limit:
-                regressions.append(Regression(
-                    name, base, cur,
-                    f"rose more than {thresholds.rel_rate:.1%} "
-                    f"(+{thresholds.rate_floor} floor)",
-                ))
-        elif _is_time(name):
-            compared += 1
-            limit = base * (1.0 + thresholds.rel_time)
-            if cur > limit and cur - base > thresholds.time_floor:
-                regressions.append(Regression(
-                    name, base, cur,
-                    f"grew more than {thresholds.rel_time:.1%} "
-                    f"(and by > {thresholds.time_floor}s)",
-                ))
-        # Anything else (job counts, cache hit totals...) is contextual,
-        # not gated: fluctuating cache warmth must not fail CI.
-    return regressions, compared
-
-
-def compare_files(
-    baseline: str | Path,
-    current: str | Path,
-    thresholds: Thresholds | None = None,
-) -> tuple[list[Regression], int]:
-    """File-level :func:`compare_metrics` (any supported artifact mix)."""
-    return compare_metrics(
-        extract_metrics(baseline), extract_metrics(current), thresholds,
-    )
-
-
-# ----------------------------------------------------------------------
-# CLI.
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (see module docstring).
-
-    Exit codes: 0 clean, 1 regressions found, 2 unreadable artifact.
-    """
+    """CLI entry point (see module docstring); exits 0."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.obs",
-        description="Manifest summaries and the bench regression gate.",
+        description="Engine run-manifest summaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -274,46 +31,15 @@ def main(argv: list[str] | None = None) -> int:
     p_sum.add_argument("manifest", help="path to manifest.jsonl")
     p_sum.add_argument("-o", "--output", help="write summary JSON here")
 
-    p_cmp = sub.add_parser("compare", help="gate current vs baseline")
-    p_cmp.add_argument("baseline")
-    p_cmp.add_argument("current")
-    p_cmp.add_argument("--rel-tol-quality", type=float,
-                       default=REL_TOL_QUALITY)
-    p_cmp.add_argument("--rel-tol-rate", type=float, default=REL_TOL_RATE)
-    p_cmp.add_argument("--rel-tol-time", type=float, default=REL_TOL_TIME)
-    p_cmp.add_argument("--time-floor", type=float, default=TIME_FLOOR)
-    p_cmp.add_argument("--quiet", action="store_true")
-
     args = parser.parse_args(argv)
 
-    if args.command == "summarize":
-        summary = summarize_manifest(read_manifest(args.manifest))
-        text = json.dumps(summary, indent=2, sort_keys=True)
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
-        return 0
-
-    thresholds = Thresholds(
-        rel_quality=args.rel_tol_quality,
-        rel_rate=args.rel_tol_rate,
-        rel_time=args.rel_tol_time,
-        time_floor=args.time_floor,
-    )
-    try:
-        regressions, compared = compare_files(
-            args.baseline, args.current, thresholds,
-        )
-    except (OSError, ValueError) as error:
-        print(f"obs compare: {error}", file=sys.stderr)
-        return 2
-    if not args.quiet:
-        print(f"obs compare: {compared} metrics compared, "
-              f"{len(regressions)} regressions")
-        for regression in regressions:
-            print(f"  {regression}")
-    return 1 if regressions else 0
+    summary = summarize_manifest(read_manifest(args.manifest))
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    if args.output:
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
+    return 0
 
 
 if __name__ == "__main__":

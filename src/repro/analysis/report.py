@@ -2,8 +2,8 @@
 
 Every experiment in :mod:`repro.analysis.experiments` returns an
 :class:`ExperimentResult`; :func:`render` turns one into the aligned
-text table recorded in EXPERIMENTS.md and printed by the benchmark
-harness.
+text table recorded in EXPERIMENTS.md and printed by the experiments
+CLI.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ engine's counters (``meta["engine"]`` of every experiment result).
 * :mod:`repro.obs.log` — ``logging`` setup (``REPRO_LOG_LEVEL``) and the
   progress reporter the engine uses for jobs-done/ETA/hit-rate lines.
 
-The regression gate that consumes these artifacts lives in
-:mod:`repro.analysis.obs` (``python -m repro.analysis.obs compare``).
+``python -m repro.analysis.obs summarize`` (:mod:`repro.analysis.obs`)
+rolls a run manifest into a flat summary.
 """
 
 from repro.obs.log import ProgressReporter, get_logger, setup_logging

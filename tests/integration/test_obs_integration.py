@@ -1,9 +1,9 @@
 """End-to-end tests of the observability subsystem.
 
 Covers the acceptance criteria of the ``repro.obs`` work: an engine
-sweep writes a JSONL manifest whose totals round-trip through the
-regression gate and the ``obs summarize`` CLI, and the result cache
-survives concurrent writers.
+sweep writes a JSONL manifest whose totals match the engine's counters
+and the ``obs summarize`` CLI, and the result cache survives concurrent
+writers.
 """
 
 import json
@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.analysis.engine import ExperimentEngine, SimJob
-from repro.analysis.obs import compare_metrics, extract_metrics, main as obs_main
+from repro.analysis.obs import main as obs_main
 from repro.core.config import lru_config, use_based_config
 from repro.obs.manifest import read_manifest, summarize_manifest
 
@@ -20,7 +20,7 @@ SCALE = 0.06
 
 
 # ----------------------------------------------------------------------
-# Engine manifests and the gate round-trip.
+# Engine manifests.
 
 
 class TestEngineManifest:
@@ -36,7 +36,7 @@ class TestEngineManifest:
             ))
         return jobs
 
-    def test_manifest_roundtrips_through_gate(self, tmp_path):
+    def test_manifest_totals_match_engine(self, tmp_path):
         engine = ExperimentEngine(
             workers=1, cache_dir=tmp_path, use_cache=True,
         )
@@ -68,16 +68,6 @@ class TestEngineManifest:
             next(r for r in records if r.get("status") == "error")["error"]
         )
         assert not results[-1]  # JobFailure slots are falsy
-
-        # Round-trip: the summary is gate-comparable with itself...
-        metrics = extract_metrics(manifest)
-        regressions, compared = compare_metrics(metrics, dict(metrics))
-        assert regressions == [] and compared > 0
-        # ...and an error increase trips the gate.
-        worse = dict(metrics)
-        worse["errors"] += 1
-        regressions, _ = compare_metrics(metrics, worse)
-        assert [r.metric for r in regressions] == ["errors"]
 
     def test_run_records_include_provenance(self, tmp_path):
         engine = ExperimentEngine(

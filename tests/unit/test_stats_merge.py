@@ -1,7 +1,7 @@
 """Tests for :meth:`SimStats.merge` and the zero-denominator contract.
 
-The merge path feeds the observability suite summary
-(:func:`repro.analysis.obs.suite_summary`); the zero-on-empty rate
+The merge path feeds perfbench's ``sim.*`` layer counts, which sum
+every engine result with :meth:`SimStats.merge`; the zero-on-empty rate
 properties are what let report code format fresh or merged-empty
 instances without guards.
 """
