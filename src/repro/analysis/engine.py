@@ -9,14 +9,16 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   matter which worker finishes first) and graceful fallback to the
   serial in-process path when a pool cannot be created or breaks.
 * **Memoization** — results are stored in a content-addressed on-disk
-  cache keyed by a canonical hash of the machine configuration
-  (:meth:`~repro.core.config.MachineConfig.config_key`), the trace
-  provenance ``(kernel, scale, seed)``, the serialized-stats schema
-  version, and a fingerprint of the simulator source itself. Figures
-  that share baseline configs (fig7/fig8/fig11/table2 all re-run the
-  ``preg``/``monolithic`` variants) hit the cache instead of
-  re-simulating, and any edit to the simulator code automatically
-  invalidates stale entries.
+  cache keyed by the cache and stats schema versions, a fingerprint of
+  the simulator source itself, the machine configuration's memoized
+  :meth:`~repro.core.config.MachineConfig.config_hash`, and the trace
+  provenance ``(kernel, scale, seed)``. Figures that share baseline
+  configs (fig7/fig8/fig11/table2 all re-run the ``preg``/``monolithic``
+  variants) hit the cache instead of re-simulating, and any edit to the
+  simulator code automatically invalidates stale entries. Within one
+  :meth:`ExperimentEngine.run` call each distinct key is looked up once
+  and executed at most once; a repeated key's later slots take the
+  first slot's outcome and count as cache hits.
 * **Fault tolerance** — each job can carry a wall-clock budget
   (``REPRO_JOB_TIMEOUT``): a worker-side ``SIGALRM`` unwinds a hung
   simulation and an engine-side watchdog terminates workers that
@@ -227,17 +229,21 @@ class SimJob:
         )
 
     def cache_key(self) -> str:
-        """Content-addressed identity of this job's result."""
-        payload = json.dumps(
-            {
-                "cache_schema": CACHE_SCHEMA_VERSION,
-                "stats_schema": STATS_SCHEMA_VERSION,
-                "code": _code_fingerprint(),
-                "config": self.config.config_key(),
-                "trace": [self.trace_name, float(self.scale), self.seed],
-            },
-            sort_keys=True,
-        )
+        """Content-addressed identity of this job's result.
+
+        The config enters through its memoized
+        :meth:`~repro.core.config.MachineConfig.config_hash`, so the jobs
+        of one config share a single canonical encoding of it.
+        """
+        payload = json.dumps([
+            CACHE_SCHEMA_VERSION,
+            STATS_SCHEMA_VERSION,
+            _code_fingerprint(),
+            self.config.config_hash(),
+            self.trace_name,
+            float(self.scale),
+            self.seed,
+        ])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -461,7 +467,7 @@ class ExperimentEngine:
         retries: int | None = None,
     ) -> None:
         if workers is None:
-            workers = _parse_jobs(os.environ.get("REPRO_JOBS"))
+            workers = _parse_jobs()
         if workers <= 0:  # 0 / "auto" = one worker per CPU
             workers = os.cpu_count() or 1
         self.workers = workers
@@ -474,12 +480,14 @@ class ExperimentEngine:
             cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
         self.cache_dir = Path(cache_dir)
         if job_timeout is None:
-            job_timeout = _parse_float(
-                os.environ.get("REPRO_JOB_TIMEOUT"), 0.0,
+            job_timeout = _env_number(
+                "REPRO_JOB_TIMEOUT", float, 0.0, "seconds",
             )
         self.job_timeout = max(0.0, job_timeout)
         if retries is None:
-            retries = _parse_int(os.environ.get("REPRO_JOB_RETRIES"), 0)
+            retries = _env_number(
+                "REPRO_JOB_RETRIES", int, 0, "a retry count",
+            )
         self.retries = max(0, retries)
         self.counters = EngineCounters()
         #: Every JobFailure this engine has returned (graceful-degradation
@@ -522,12 +530,25 @@ class ExperimentEngine:
 
         prelude: list[dict] = []
         pending: list[int] = []
+        # One lookup, and at most one execution, per distinct key: a
+        # later slot with a key already seen in this call waits for the
+        # first slot's outcome (``first_slot`` maps key -> that slot).
+        first_slot: dict[str, int] = {}
+        waiting: list[tuple[int, int]] = []
+        hits = 0
         for index, job in enumerate(jobs):
             key = keys[index]
             if self.use_cache and key is not None:
-                cached = self._cache_load(job, key=key)
+                first = first_slot.setdefault(key, index)
+                if first != index:
+                    if results[first] is None:
+                        waiting.append((index, first))
+                        continue
+                    cached = results[first]
+                else:
+                    cached = self._cache_load(job, key=key)
                 if cached is not None:
-                    counters.cache_hits += 1
+                    hits += 1
                     results[index] = cached
                     if self.manifest is not None:
                         prelude.append(
@@ -539,12 +560,12 @@ class ExperimentEngine:
                     continue
                 counters.cache_misses += 1
             pending.append(index)
+        counters.cache_hits += hits
 
         workers = max(1, min(self.workers, len(pending))) if pending else 0
         _log.info(
             "run %s: %d jobs (%d cached, %d to execute, %d workers)",
-            run_id, len(jobs), len(jobs) - len(pending), len(pending),
-            workers,
+            run_id, len(jobs), hits, len(pending), workers,
         )
         if self.manifest is not None:
             self.manifest.append_all(prelude)
@@ -606,6 +627,31 @@ class ExperimentEngine:
                 run_id, hit_rate, len(failures),
             )
 
+        # Slots whose key an earlier slot of this call executed: a
+        # result is the cache hit a later call would have had, a failure
+        # is the same hole (nothing was cached, so it would have re-run).
+        for index, first in waiting:
+            job, outcome = jobs[index], results[first]
+            if outcome:
+                hits += 1
+                counters.cache_hits += 1
+                record = self._manifest_record(
+                    run_id, job, keys[index], cached=True,
+                    status="ok", wall=0.0, worker=None,
+                )
+            else:
+                counters.cache_misses += 1
+                counters.errors += 1
+                failures.append(outcome)
+                record = self._manifest_record(
+                    run_id, job, keys[index], cached=False,
+                    status=outcome.kind, wall=0.0, worker=None,
+                    error=outcome.error,
+                )
+            results[index] = outcome
+            if self.manifest is not None:
+                self.manifest.append(record)
+
         engine_wall = time.perf_counter() - start
         counters.engine_seconds += engine_wall
         if self.manifest is not None and jobs:
@@ -615,7 +661,7 @@ class ExperimentEngine:
                 "run": run_id,
                 "ts": round(time.time(), 3),
                 "jobs": len(jobs),
-                "cached": len(jobs) - len(pending),
+                "cached": hits,
                 "executed": len(pending),
                 "errors": len(failures),
                 "workers": self.workers,
@@ -916,12 +962,19 @@ class ExperimentEngine:
 
     def _cache_load(self, job: SimJob, key: str | None = None) -> \
             SimStats | None:
-        """Load a cached result; any corruption or staleness is a miss."""
+        """Load a cached result; any corruption or staleness is a miss.
+
+        The path is a plain string and the file is read in one binary
+        ``open``: on a warm run this read is most of the engine's time.
+        """
         if key is None:
             key = job.cache_key()
-        path = self._cache_path(key)
+        path = os.path.join(
+            os.fspath(self.cache_dir), key[:2], key[2:] + ".json",
+        )
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, "rb") as handle:
+                data = json.loads(handle.read())
         except (OSError, ValueError):
             return None
         if not isinstance(data, dict) or data.get("key") != key:
@@ -951,21 +1004,23 @@ class ExperimentEngine:
         text = json.dumps(payload)
         if faults.enabled():
             text = faults.corrupt_text("corrupt_cache", key, text)
+        # The tmp name must be unique per writer — pid separates
+        # concurrent sweep processes, the counter separates threads
+        # within one — so no two writers ever interleave into the same
+        # tmp file; os.replace then publishes atomically and a reader
+        # can never observe a torn entry.
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_tmp_counter)}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            # The tmp name must be unique per writer — pid separates
-            # concurrent sweep processes, the counter separates threads
-            # within one — so no two writers ever interleave into the
-            # same tmp file; os.replace then publishes atomically and a
-            # reader can never observe a torn entry.
-            tmp = path.with_suffix(
-                f".tmp.{os.getpid()}.{next(_tmp_counter)}"
-            )
             tmp.write_text(text, encoding="utf-8")
             os.replace(tmp, path)
         except OSError:
-            # A read-only or full filesystem never fails the experiment.
-            pass
+            # A read-only or full filesystem never fails the experiment,
+            # and a failed write leaves no tmp file behind.
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
 
 
 # ----------------------------------------------------------------------
@@ -974,33 +1029,23 @@ class ExperimentEngine:
 _shared_engine: ExperimentEngine | None = None
 
 
-def _parse_jobs(raw: str | None) -> int:
+def _env_number(knob: str, parse, default, expected: str):
+    """Numeric knob *knob*: unset means *default*, a typo raises."""
+    raw = os.environ.get(knob)
     if not raw:
-        return 1
-    if raw.strip().lower() == "auto":
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{knob}={raw!r}: expected {expected}") from None
+
+
+def _parse_jobs() -> int:
+    """``REPRO_JOBS``: unset = 1 (serial), ``0``/``auto`` = 0 (per CPU)."""
+    raw = os.environ.get("REPRO_JOBS")
+    if raw and raw.strip().lower() == "auto":
         return 0
-    try:
-        return int(raw)
-    except ValueError:
-        return 1
-
-
-def _parse_float(raw: str | None, default: float) -> float:
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _parse_int(raw: str | None, default: int) -> int:
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+    return _env_number("REPRO_JOBS", int, 1, "a worker count or 'auto'")
 
 
 def get_engine() -> ExperimentEngine:

@@ -218,22 +218,29 @@ def fig6_size_assoc(
     *assocs* means fully associative.
     """
     traces = _traces(scale)
-    rows = []
-    for size in sizes:
-        row: list[object] = [size]
-        for assoc in assocs:
-            if assoc and size % assoc:
-                row.append("-")
-                continue
-            config = use_based_config(
-                cache_entries=size, cache_assoc=assoc, indexing="preg",
-            )
-            row.append(mean_ipc(run_config(traces, config)))
-        rows.append(row)
-    for latency in (1, 2, 3, 4):
-        results = run_config(traces, monolithic_config(latency))
-        rows.append([f"RF {latency}-cycle", "-", "-", "-",
-                     mean_ipc(results)])
+    configs: dict[object, MachineConfig] = {
+        (size, assoc): use_based_config(
+            cache_entries=size, cache_assoc=assoc, indexing="preg",
+        )
+        for size in sizes
+        for assoc in assocs
+        if not (assoc and size % assoc)
+    }
+    baselines = {
+        f"RF {latency}-cycle": monolithic_config(latency)
+        for latency in (1, 2, 3, 4)
+    }
+    results = sweep(traces, {**configs, **baselines})
+    rows = [
+        [size] + [
+            mean_ipc(results[size, assoc])
+            if (size, assoc) in results else "-"
+            for assoc in assocs
+        ]
+        for size in sizes
+    ]
+    for label in baselines:
+        rows.append([label, "-", "-", "-", mean_ipc(results[label])])
     return ExperimentResult(
         experiment_id="fig6",
         title="Register cache size and organization (mean IPC)",
@@ -256,12 +263,16 @@ def fig7_indexing(
     """Decoupled indexing policies vs standard indexing (Figure 7)."""
     traces = _traces(scale)
     policies = ("preg", "round_robin", "minimum", "filtered_rr")
+    grid = sweep(traces, {
+        (policy, assoc): use_based_config(indexing=policy, cache_assoc=assoc)
+        for policy in policies
+        for assoc in assocs
+    })
     rows = []
     for policy in policies:
         row: list[object] = [policy]
         for assoc in assocs:
-            config = use_based_config(indexing=policy, cache_assoc=assoc)
-            results = run_config(traces, config)
+            results = grid[policy, assoc]
             conflicts = sum(
                 s.cache.misses["conflict"]
                 for s in _present(results).values()
@@ -294,23 +305,23 @@ def fig7_indexing(
 def fig8_miss_breakdown(scale: float | None = None) -> ExperimentResult:
     """Miss-rate taxonomy under standard vs decoupled indexing (Fig 8)."""
     traces = _traces(scale)
-    rows = []
+    configs: dict[object, MachineConfig] = {}
     for scheme, base in (
         ("lru", lru_config), ("non_bypass", non_bypass_config),
         ("use_based", use_based_config),
     ):
-        for indexing, label in (
-            ("preg", "standard"),
-            ("filtered_rr" if scheme == "use_based" else "round_robin",
-             "decoupled"),
-        ):
-            results = run_config(traces, base(indexing=indexing))
-            metrics = aggregate_cache_metrics(scheme, results)
-            rows.append([
-                scheme, label, metrics.miss_filtered,
-                metrics.miss_capacity, metrics.miss_conflict,
-                metrics.miss_rate,
-            ])
+        configs[scheme, "standard"] = base(indexing="preg")
+        configs[scheme, "decoupled"] = base(
+            indexing="filtered_rr" if scheme == "use_based" else "round_robin"
+        )
+    rows = []
+    for (scheme, label), results in sweep(traces, configs).items():
+        metrics = aggregate_cache_metrics(scheme, results)
+        rows.append([
+            scheme, label, metrics.miss_filtered,
+            metrics.miss_capacity, metrics.miss_conflict,
+            metrics.miss_rate,
+        ])
     return ExperimentResult(
         experiment_id="fig8",
         title="Register cache misses per operand, 64-entry 2-way",
@@ -414,24 +425,29 @@ def fig11_perf_vs_size(
 ) -> ExperimentResult:
     """IPC versus cache/L1 size for all schemes (Figure 11)."""
     traces = _traces(scale)
-    rows = []
-    for size in sizes:
-        row: list[object] = [size]
-        row.append(mean_ipc(run_config(
-            traces, lru_config(cache_entries=size))))
-        row.append(mean_ipc(run_config(
-            traces, non_bypass_config(cache_entries=size))))
-        row.append(mean_ipc(run_config(
-            traces, use_based_config(cache_entries=size))))
-        row.append(mean_ipc(run_config(
-            traces, use_based_config(cache_entries=size, cache_assoc=4))))
-        row.append(mean_ipc(run_config(
-            traces, two_level_config(cache_entries=size))))
-        rows.append(row)
-    for latency in (1, 3):
-        results = run_config(traces, monolithic_config(latency))
-        rows.append([f"RF {latency}-cyc", "-", "-", "-", "-",
-                     mean_ipc(results)])
+    columns = (
+        lambda size: lru_config(cache_entries=size),
+        lambda size: non_bypass_config(cache_entries=size),
+        lambda size: use_based_config(cache_entries=size),
+        lambda size: use_based_config(cache_entries=size, cache_assoc=4),
+        lambda size: two_level_config(cache_entries=size),
+    )
+    configs: dict[object, MachineConfig] = {
+        (size, column): make(size)
+        for size in sizes
+        for column, make in enumerate(columns)
+    }
+    baselines = {
+        f"RF {latency}-cyc": monolithic_config(latency) for latency in (1, 3)
+    }
+    results = sweep(traces, {**configs, **baselines})
+    rows = [
+        [size] + [mean_ipc(results[size, column])
+                  for column in range(len(columns))]
+        for size in sizes
+    ]
+    for label in baselines:
+        rows.append([label, "-", "-", "-", "-", mean_ipc(results[label])])
     return ExperimentResult(
         experiment_id="fig11",
         title="Performance vs cache/L1 size (mean IPC)",
@@ -455,22 +471,28 @@ def fig12_backing_latency(
 ) -> ExperimentResult:
     """IPC versus backing file / L2 latency (Figure 12)."""
     traces = _traces(scale)
-    rows = []
-    for latency in latencies:
-        row: list[object] = [latency]
-        row.append(mean_ipc(run_config(
-            traces, lru_config(backing_read_latency=latency))))
-        row.append(mean_ipc(run_config(
-            traces, non_bypass_config(backing_read_latency=latency))))
-        row.append(mean_ipc(run_config(
-            traces, use_based_config(backing_read_latency=latency))))
-        row.append(mean_ipc(run_config(
-            traces, two_level_config(two_level_l2_latency=latency))))
-        rows.append(row)
-    for latency in (1, 3):
-        results = run_config(traces, monolithic_config(latency))
-        rows.append([f"RF {latency}-cyc", "-", "-",
-                     mean_ipc(results), "-"])
+    columns = (
+        lambda latency: lru_config(backing_read_latency=latency),
+        lambda latency: non_bypass_config(backing_read_latency=latency),
+        lambda latency: use_based_config(backing_read_latency=latency),
+        lambda latency: two_level_config(two_level_l2_latency=latency),
+    )
+    configs: dict[object, MachineConfig] = {
+        (latency, column): make(latency)
+        for latency in latencies
+        for column, make in enumerate(columns)
+    }
+    baselines = {
+        f"RF {latency}-cyc": monolithic_config(latency) for latency in (1, 3)
+    }
+    results = sweep(traces, {**configs, **baselines})
+    rows = [
+        [latency] + [mean_ipc(results[latency, column])
+                     for column in range(len(columns))]
+        for latency in latencies
+    ]
+    for label in baselines:
+        rows.append([label, "-", "-", mean_ipc(results[label]), "-"])
     return ExperimentResult(
         experiment_id="fig12",
         title="Performance vs backing file / L2 latency (mean IPC)",
@@ -500,8 +522,10 @@ def tuning_max_use(
     """IPC versus the maximum representable use count (§5.3)."""
     traces = _traces(scale)
     rows = []
-    for max_use in values:
-        results = run_config(traces, use_based_config(max_use=max_use))
+    grid = sweep(traces, {
+        max_use: use_based_config(max_use=max_use) for max_use in values
+    })
+    for max_use, results in grid.items():
         metrics = aggregate_cache_metrics("use_based", results)
         rows.append([max_use, mean_ipc(results), metrics.miss_rate])
     return ExperimentResult(
@@ -525,15 +549,16 @@ def tuning_defaults(
 ) -> ExperimentResult:
     """IPC versus the unknown and fill defaults (§5.3)."""
     traces = _traces(scale)
-    rows = []
-    for unknown in unknown_values:
-        results = run_config(
-            traces, use_based_config(unknown_default=unknown)
-        )
-        rows.append(["unknown", unknown, mean_ipc(results)])
+    configs: dict[object, MachineConfig] = {
+        ("unknown", unknown): use_based_config(unknown_default=unknown)
+        for unknown in unknown_values
+    }
     for fill in fill_values:
-        results = run_config(traces, use_based_config(fill_default=fill))
-        rows.append(["fill", fill, mean_ipc(results)])
+        configs["fill", fill] = use_based_config(fill_default=fill)
+    rows = [
+        [default, value, mean_ipc(results)]
+        for (default, value), results in sweep(traces, configs).items()
+    ]
     return ExperimentResult(
         experiment_id="tuning_defaults",
         title="Unknown and fill default use counts",
@@ -593,10 +618,11 @@ def incorrect_use_info(
     """
     traces = _traces(scale)
     rows = []
-    for noise in noise_levels:
-        results = run_config(
-            traces, use_based_config(wrongpath_use_noise=noise)
-        )
+    grid = sweep(traces, {
+        noise: use_based_config(wrongpath_use_noise=noise)
+        for noise in noise_levels
+    })
+    for noise, results in grid.items():
         metrics = aggregate_cache_metrics("use_based", results)
         accuracy_num = sum(
             s.predictor_correct for s in _present(results).values()
@@ -667,8 +693,7 @@ def ablations(scale: float | None = None) -> ExperimentResult:
         "standard indexing": use_based_config(indexing="preg"),
     }
     rows = []
-    for label, config in variants.items():
-        results = run_config(traces, config)
+    for label, results in sweep(traces, variants).items():
         metrics = aggregate_cache_metrics(label, results)
         rows.append([label, mean_ipc(results), metrics.miss_rate])
     return ExperimentResult(

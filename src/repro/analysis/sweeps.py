@@ -20,7 +20,7 @@ holes, and the experiment CLI reports them with exit code 3.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Mapping
 
 from repro.analysis.engine import (
     ExperimentEngine,
@@ -57,14 +57,16 @@ def run_config(
 
 def sweep(
     traces: dict[str, Trace],
-    configs: dict[str, MachineConfig],
+    configs: Mapping[Hashable, MachineConfig],
     engine: ExperimentEngine | None = None,
-) -> dict[str, dict[str, SimStats | JobFailure]]:
-    """Simulate every trace under every named configuration.
+) -> dict[Hashable, dict[str, SimStats | JobFailure]]:
+    """Simulate every trace under every labelled configuration.
 
     The full ``configs x traces`` grid is submitted as one engine call
     so a parallel engine can overlap work across configurations, not
-    just within one.
+    just within one. Labels may be any hashable (the figures use tuples
+    such as ``(size, assoc)``); two labels with equal configs share one
+    simulation per trace.
 
     Returns:
         Mapping of configuration label to per-benchmark statistics;
@@ -80,7 +82,7 @@ def sweep(
     ]
     stats = engine.run(jobs, raise_on_error=False)
     num_configs = len(config_list)
-    out: dict[str, dict[str, SimStats | JobFailure]] = {}
+    out: dict[Hashable, dict[str, SimStats | JobFailure]] = {}
     for row, label in enumerate(configs):
         out[label] = {
             name: stats[col * num_configs + row]

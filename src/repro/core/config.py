@@ -211,8 +211,8 @@ class MachineConfig:
         key = self.__dict__.get("_config_key")
         if key is None:
             key = tuple(
-                (f.name, _normalize(getattr(self, f.name)))
-                for f in sorted(dataclasses.fields(self), key=lambda f: f.name)
+                (name, _normalize(getattr(self, name)))
+                for name in _FIELD_NAMES
             )
             object.__setattr__(self, "_config_key", key)
         return key
@@ -225,6 +225,10 @@ class MachineConfig:
             digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
             object.__setattr__(self, "_config_hash", digest)
         return digest
+
+
+#: Field names in :meth:`MachineConfig.config_key` order, sorted once.
+_FIELD_NAMES = tuple(sorted(f.name for f in dataclasses.fields(MachineConfig)))
 
 
 def _normalize(value: object) -> object:

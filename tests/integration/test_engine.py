@@ -8,6 +8,7 @@ captured per job.
 """
 
 import json
+import os
 import signal
 import time
 
@@ -27,6 +28,7 @@ from repro.core.config import (
 )
 from repro.core.pipeline import Pipeline
 from repro.errors import EngineError
+from repro.obs.manifest import read_manifest
 from repro.workloads.suite import load_trace
 
 SCALE = 0.06
@@ -327,3 +329,88 @@ def test_smoke_single_cached_engine_job(tmp_path):
     assert engine.counters.cache_hits == 1
     assert second.to_dict() == first.to_dict()
     assert first.retired > 0
+
+
+def test_failed_cache_write_leaves_no_tmp_file(tmp_path, monkeypatch):
+    """A refused ``os.replace`` must not strand ``<key>.tmp.<pid>.<n>``;
+    the run still returns its result."""
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    job = SimJob(config=use_based_config(), trace_name="compress",
+                 scale=SCALE)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(engine_mod.os, "replace", refuse)
+    stats = engine.run([job])[0]
+    assert stats.retired > 0
+    assert list(tmp_path.rglob("*.tmp.*")) == []
+    assert engine._cache_load(job) is None
+
+
+def test_duplicate_keys_execute_once_per_call(tmp_path):
+    """Equal configs in one call share one lookup and one execution;
+    every later slot is a cache hit with its own manifest record."""
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    jobs = [
+        SimJob(config=config, trace_name=name, scale=SCALE, label=name)
+        for config in (use_based_config(), lru_config(),
+                       use_based_config(cache_entries=64))
+        for name in ("compress", "pointer_chase")
+    ]
+    results = engine.run(jobs)
+    assert engine.counters.executed == 4
+    assert engine.counters.cache_misses == 4
+    assert engine.counters.cache_hits == 2
+    assert results[4] is results[0] and results[5] is results[1]
+    records = read_manifest(engine.manifest.path)
+    jobs_recorded = [record for record in records if record["kind"] == "job"]
+    assert len(jobs_recorded) == 6
+    assert sum(record["cached"] for record in jobs_recorded) == 2
+    run = records[-1]
+    assert run["kind"] == "run"
+    assert (run["jobs"], run["cached"], run["executed"]) == (6, 2, 4)
+
+
+def test_duplicate_of_failed_job_gets_its_hole(tmp_path):
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    bad = SimJob(config=use_based_config(max_cycles=10),
+                 trace_name="compress", scale=SCALE, label="doomed")
+    results = engine.run([bad, bad], raise_on_error=False)
+    assert engine.counters.executed == 1
+    assert all(isinstance(slot, JobFailure) for slot in results)
+    assert engine.counters.errors == 2
+    assert engine.failure_log[-2:] == results
+
+
+def test_duplicates_execute_every_slot_without_cache():
+    engine = ExperimentEngine(workers=1, use_cache=False)
+    job = SimJob(config=use_based_config(), trace_name="compress",
+                 scale=SCALE)
+    engine.run([job, job])
+    assert engine.counters.executed == 2
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("REPRO_JOB_TIMEOUT", "1O"),
+    ("REPRO_JOB_RETRIES", "two"),
+    ("REPRO_JOBS", "fuor"),
+])
+def test_numeric_knob_typo_raises(monkeypatch, tmp_path, knob, value):
+    monkeypatch.setenv(knob, value)
+    with pytest.raises(ValueError, match=f"{knob}={value!r}"):
+        ExperimentEngine(cache_dir=tmp_path)
+
+
+def test_numeric_knobs_unset_zero_and_auto(monkeypatch, tmp_path):
+    for knob in ("REPRO_JOBS", "REPRO_JOB_TIMEOUT", "REPRO_JOB_RETRIES"):
+        monkeypatch.delenv(knob, raising=False)
+    engine = ExperimentEngine(cache_dir=tmp_path)
+    assert (engine.workers, engine.job_timeout, engine.retries) == (1, 0, 0)
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0")
+    monkeypatch.setenv("REPRO_JOB_RETRIES", "0")
+    for jobs in ("0", "auto"):
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+        engine = ExperimentEngine(cache_dir=tmp_path)
+        assert engine.workers == (os.cpu_count() or 1)
+        assert (engine.job_timeout, engine.retries) == (0, 0)

@@ -149,3 +149,64 @@ def test_cli_main_verbose_and_quiet_flags(monkeypatch):
     assert logging.getLogger(ROOT_LOGGER).level == logging.INFO
     assert main(["-q", "table1"]) == 0
     assert logging.getLogger(ROOT_LOGGER).level == logging.ERROR
+
+
+def test_each_registry_entry_submits_one_engine_call(tmp_path, monkeypatch):
+    """Every figure hands its whole grid to the engine at once.
+
+    The engine call is stubbed: each job gets the real statistics of its
+    trace under one lifetime-logging config, so every entry can
+    aggregate and render without simulating its grid.
+    """
+    from repro.analysis.engine import ExperimentEngine, SimJob, configure
+    from repro.core.config import use_based_config
+
+    real = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    stats_of: dict[str, object] = {}
+    calls: list[int] = []
+
+    def one_call(jobs, **kwargs):
+        jobs = list(jobs)
+        calls.append(len(jobs))
+        for job in jobs:
+            if job.trace_name not in stats_of:
+                probe = SimJob(
+                    config=use_based_config(record_lifetimes=True),
+                    trace_name=job.trace_name, scale=job.scale, seed=job.seed,
+                )
+                stats_of[job.trace_name] = real.run([probe])[0]
+        return [stats_of[job.trace_name] for job in jobs]
+
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    engine = configure(workers=1, cache_dir=tmp_path)
+    monkeypatch.setattr(engine, "run", one_call)
+    try:
+        for name, runner in EXPERIMENTS.items():
+            calls.clear()
+            result = runner()
+            render(result)
+            expected = 0 if name == "table1" else 1
+            assert len(calls) == expected, (name, calls)
+    finally:
+        configure()
+
+
+def test_tuning_defaults_runs_its_default_config_once(tmp_path, monkeypatch):
+    """The grid names the default config twice (unknown 1 and fill 0):
+    on an empty cache 48 of its 56 slots execute, and all 56 fill."""
+    from repro.analysis.engine import configure
+
+    monkeypatch.setenv("REPRO_SUITE", "full")
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    engine = configure(workers=1, cache_dir=tmp_path)
+    try:
+        result = EXPERIMENTS["tuning_defaults"]()
+    finally:
+        configure()
+    meta = result.meta["engine"]
+    assert (meta["jobs"], meta["executed"], meta["cache_hits"]) == (56, 48, 8)
+    assert "failures" not in result.meta
+    unknown_1 = next(row for row in result.rows if row[:2] == ["unknown", 1])
+    fill_0 = next(row for row in result.rows if row[:2] == ["fill", 0])
+    assert unknown_1[2] == fill_0[2] > 0
+    assert engine.counters.executed == 48

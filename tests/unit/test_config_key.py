@@ -120,3 +120,55 @@ def test_job_names_tell_apart_configs_of_one_scheme():
         name = SimJob(config=config, trace_name="crc").describe()
         assert name.startswith("crc[register_cache:")
         assert config.config_hash()[:8] in name
+
+
+def test_config_key_order_is_sorted_field_names():
+    """The precomputed field order gives the same key as sorting the
+    dataclass fields on every call did, so existing hashes stay valid."""
+    import dataclasses
+
+    config = use_based_config(cache_entries=32)
+    fields = sorted(dataclasses.fields(config), key=lambda f: f.name)
+    assert [name for name, _ in config.config_key()] == [
+        f.name for f in fields
+    ]
+
+
+def _job(config=None, **overrides):
+    from repro.analysis.engine import SimJob
+
+    spec = dict(trace_name="crc", scale=0.02, seed=1)
+    spec.update(overrides)
+    return SimJob(config=config or use_based_config(), **spec)
+
+
+@pytest.mark.parametrize("change", [
+    {"config": use_based_config(cache_entries=32)},
+    {"trace_name": "sort"},
+    {"scale": 0.05},
+    {"seed": 2},
+])
+def test_job_key_changes_with_config_and_trace_provenance(change):
+    assert _job(**change).cache_key() != _job().cache_key()
+
+
+@pytest.mark.parametrize("name", [
+    "CACHE_SCHEMA_VERSION", "STATS_SCHEMA_VERSION", "_code_fingerprint_memo",
+])
+def test_job_key_changes_with_schema_versions_and_code(monkeypatch, name):
+    from repro.analysis import engine as engine_mod
+
+    before = _job().cache_key()
+    engine_mod._code_fingerprint()  # fill the memo before replacing it
+    value = getattr(engine_mod, name)
+    changed = "0" * 64 if isinstance(value, str) else value + 1
+    monkeypatch.setattr(engine_mod, name, changed)
+    assert _job().cache_key() != before
+
+
+def test_equal_configs_built_differently_give_equal_job_keys():
+    a = use_based_config(cache_entries=64, backing_read_latency=2)
+    b = use_based_config(backing_read_latency=2.0, cache_entries=64.0)
+    assert a is not b
+    assert _job(a).cache_key() == _job(b).cache_key()
+    assert _job(scale=1).cache_key() == _job(scale=1.0).cache_key()
