@@ -14,7 +14,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.metrics import CacheMetricsRow, aggregate_cache_metrics
 from repro.analysis.report import ExperimentResult, render, render_all
-from repro.analysis.sweeps import ipc_curve, load_traces, run_config, sweep
+from repro.analysis.sweeps import load_traces, run_config, sweep
 
 __all__ = [
     "CacheMetricsRow",
@@ -26,7 +26,6 @@ __all__ = [
     "aggregate_cache_metrics",
     "configure",
     "get_engine",
-    "ipc_curve",
     "load_traces",
     "render",
     "render_all",

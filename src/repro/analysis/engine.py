@@ -124,8 +124,8 @@ _log = get_logger("engine")
 _tmp_counter = itertools.count()
 
 #: Bump to invalidate every cached result regardless of code changes
-#: (e.g. when the cache file layout itself changes).
-CACHE_SCHEMA_VERSION = 1
+#: (e.g. when the cache file layout or the job-key layout changes).
+CACHE_SCHEMA_VERSION = 2
 
 #: Outcomes worth another attempt: the rest repeat deterministically.
 _TRANSIENT = ("timeout", "crash")
@@ -231,19 +231,18 @@ class SimJob:
     def cache_key(self) -> str:
         """Content-addressed identity of this job's result.
 
-        The config enters through its memoized
-        :meth:`~repro.core.config.MachineConfig.config_hash`, so the jobs
-        of one config share a single canonical encoding of it.
+        The SHA-256 of a ``:``-joined string. The config enters through
+        its memoized :meth:`~repro.core.config.MachineConfig.config_hash`,
+        so the jobs of one config share a single canonical encoding of
+        it. Every part but the trace name has a fixed character set
+        without ``:``; the name comes last, so the layout stays
+        unambiguous whatever it holds.
         """
-        payload = json.dumps([
-            CACHE_SCHEMA_VERSION,
-            STATS_SCHEMA_VERSION,
-            _code_fingerprint(),
-            self.config.config_hash(),
-            self.trace_name,
-            float(self.scale),
-            self.seed,
-        ])
+        payload = (
+            f"{CACHE_SCHEMA_VERSION}:{STATS_SCHEMA_VERSION}"
+            f":{_code_fingerprint()}:{self.config.config_hash()}"
+            f":{float(self.scale)!r}:{self.seed}:{self.trace_name}"
+        )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -20,7 +20,7 @@ holes, and the experiment CLI reports them with exit code 3.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 
 from repro.analysis.engine import (
     ExperimentEngine,
@@ -29,7 +29,6 @@ from repro.analysis.engine import (
     get_engine,
 )
 from repro.core.config import MachineConfig
-from repro.core.simulator import mean_ipc
 from repro.core.stats import SimStats
 from repro.vm.trace import Trace
 from repro.workloads.suite import DEFAULT_SUITE, load_trace
@@ -89,41 +88,3 @@ def sweep(
             for col, name in enumerate(names)
         }
     return out
-
-
-def ipc_curve(
-    traces: dict[str, Trace],
-    config_for: Callable[[int], MachineConfig],
-    points: Iterable[int],
-    engine: ExperimentEngine | None = None,
-) -> list[tuple[int, float]]:
-    """Geometric-mean IPC at each sweep point.
-
-    Args:
-        traces: benchmark traces.
-        config_for: maps a sweep value (e.g. cache size) to a config.
-        points: sweep values.
-        engine: experiment engine (defaults to the shared one).
-
-    Returns:
-        List of ``(point, mean_ipc)`` pairs in input order. Benchmarks
-        that failed at a point are excluded from that point's mean.
-    """
-    engine = engine or get_engine()
-    points = list(points)
-    names = list(traces)
-    jobs = [
-        SimJob.for_trace(traces[name], config_for(point), label=name)
-        for name in names
-        for point in points
-    ]
-    stats = engine.run(jobs, raise_on_error=False)
-    num_points = len(points)
-    curve = []
-    for row, point in enumerate(points):
-        per_point = {
-            name: stats[col * num_points + row]
-            for col, name in enumerate(names)
-        }
-        curve.append((point, mean_ipc(per_point)))
-    return curve

@@ -27,7 +27,7 @@ from repro.core.simulator import (
     simulate_benchmark,
     simulate_suite,
 )
-from repro.core.stats import LifetimeRecord, SimStats
+from repro.core.stats import SimStats
 from repro.core.validate import (
     TimingViolation,
     check_dataflow_timing,
@@ -35,7 +35,6 @@ from repro.core.validate import (
 )
 
 __all__ = [
-    "LifetimeRecord",
     "MachineConfig",
     "NAMED_CONFIGS",
     "OccupancyCdf",

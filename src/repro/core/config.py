@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -115,7 +116,7 @@ class MachineConfig:
     # pipeline (``Pipeline.issue_log``) for tests and debugging.
     record_timing: bool = False
 
-    # Log one LifetimeRecord per physical-register allocation into
+    # Log four ints per physical-register allocation into
     # ``SimStats.lifetimes`` (the Figure 1/2 input). Off by default: the
     # log costs host time and result size, and only the lifetime
     # analyses read it. Being a field, it enters config_key and so the
@@ -127,12 +128,25 @@ class MachineConfig:
 
     # ------------------------------------------------------------------
 
+    def __post_init__(self) -> None:
+        # 64.0 and 64 are one config (config_key already collapses
+        # them), so an integral float in an int field becomes that int
+        # here, before anything is sized from it. A fractional value is
+        # left for validate() to reject.
+        for name, value in zip(_INT_FIELDS, _int_values(self)):
+            if type(value) is float and value.is_integer():
+                object.__setattr__(self, name, int(value))
+
     def validate(self) -> None:
         """Check internal consistency.
 
         Raises:
-            ConfigError: when fields are mutually inconsistent.
+            ConfigError: when fields are mutually inconsistent, or an
+                int field holds a non-integral number.
         """
+        for name, value in zip(_INT_FIELDS, _int_values(self)):
+            if type(value) is float:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.storage not in ("register_cache", "monolithic", "two_level"):
             raise ConfigError(f"unknown storage scheme {self.storage!r}")
         if self.cache_entries <= 0:
@@ -229,6 +243,13 @@ class MachineConfig:
 
 #: Field names in :meth:`MachineConfig.config_key` order, sorted once.
 _FIELD_NAMES = tuple(sorted(f.name for f in dataclasses.fields(MachineConfig)))
+
+#: The int-typed fields, and a getter returning their values as a tuple.
+_INT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(MachineConfig)
+    if f.type in ("int", "int | None")
+)
+_int_values = operator.attrgetter(*_INT_FIELDS)
 
 
 def _normalize(value: object) -> object:

@@ -1,9 +1,15 @@
 """Register-lifetime analysis (Figures 1 and 2 of the paper).
 
-Works over the per-allocation :class:`~repro.core.stats.LifetimeRecord`
-log collected by the pipeline, computing the median empty/live/dead
-phase lengths and the cumulative distributions of simultaneously
-allocated and live registers. The pipeline collects the log only under
+Works over the per-allocation lifetime log collected by the pipeline:
+the flat ``SimStats.lifetimes`` array with four ints per allocation,
+``alloc, write, last_read, free`` (see :mod:`repro.core.stats`). It
+computes the median empty/live/dead phase lengths and the cumulative
+distributions of simultaneously allocated and live registers. Every
+analysis reads the log's columns as slices (``log[0::4]`` is every
+``alloc``) and works on them with C-level ``map``, ``sorted`` and
+:class:`collections.Counter`; no per-allocation object is built.
+
+The pipeline collects the log only under
 ``MachineConfig(record_lifetimes=True)``; every analysis here raises
 :class:`~repro.errors.LifetimesNotRecorded` when handed the ``None`` log
 of a run that did not record one, instead of reporting an empty log.
@@ -11,29 +17,37 @@ of a run that did not record one, instead of reporting an empty log.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import lt, sub
+from typing import Sequence
 
-from repro.core.stats import LifetimeRecord
 from repro.errors import LifetimesNotRecorded
 
 
-def _recorded(records: list[LifetimeRecord] | None) -> list[LifetimeRecord]:
-    if records is None:
+def _recorded(log: list[int] | None) -> list[int]:
+    if log is None:
         raise LifetimesNotRecorded(
             "this run did not record register lifetimes; simulate with "
             "MachineConfig(record_lifetimes=True)"
         )
-    return records
+    return log
 
 
-def _median(values: list[int]) -> float:
-    if not values:
+def _phase_median(ends: list[int], starts: list[int]) -> float:
+    """Median of ``max(0, end - start)`` over paired columns.
+
+    Clamping is monotone, so it is applied to the middle values of the
+    sorted raw differences only: the same result as clamping each one.
+    """
+    ordered = sorted(map(sub, ends, starts))
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+        return float(max(0, ordered[mid]))
+    return (max(0, ordered[mid - 1]) + max(0, ordered[mid])) / 2.0
 
 
 @dataclass(frozen=True)
@@ -49,13 +63,18 @@ class PhaseSummary:
         return self.empty + self.live + self.dead
 
 
-def phase_summary(records: list[LifetimeRecord]) -> PhaseSummary:
-    """Median empty/live/dead times over one benchmark's allocations."""
-    records = _recorded(records)
+def phase_summary(log: list[int] | None) -> PhaseSummary:
+    """Median empty/live/dead times over one benchmark's allocations.
+
+    empty = write - alloc, live = last_read - write and dead = free -
+    last_read, each floored at 0.
+    """
+    log = _recorded(log)
+    write, last_read = log[1::4], log[2::4]
     return PhaseSummary(
-        empty=_median([r.empty_time for r in records]),
-        live=_median([r.live_time for r in records]),
-        dead=_median([r.dead_time for r in records]),
+        empty=_phase_median(write, log[0::4]),
+        live=_phase_median(last_read, write),
+        dead=_phase_median(log[3::4], last_read),
     )
 
 
@@ -72,30 +91,32 @@ def mean_phase_summary(per_benchmark: list[PhaseSummary]) -> PhaseSummary:
 
 
 def _counts_over_time(
-    intervals: list[tuple[int, int]],
+    starts: Sequence[int], ends: Sequence[int],
 ) -> list[tuple[int, int]]:
     """Time-weighted histogram of concurrent intervals.
 
     Args:
-        intervals: (start, end) pairs, end exclusive.
+        starts: interval starts.
+        ends: interval ends (exclusive), paired with *starts*. Intervals
+            with ``end <= start`` are ignored.
 
     Returns:
         List of (concurrency_level, total_cycles_at_level) pairs.
     """
-    events: dict[int, int] = {}
-    for start, end in intervals:
-        if end <= start:
-            continue
-        events[start] = events.get(start, 0) + 1
-        events[end] = events.get(end, 0) - 1
-    level = 0
+    kept = list(map(lt, starts, ends))
+    opened = Counter(compress(starts, kept))
+    closed = Counter(compress(ends, kept))
+    times = sorted(opened.keys() | closed.keys())
+    zeros = repeat(0)
+    # The level from each event time to the next: a running sum of
+    # intervals opened minus intervals closed at each time.
+    levels = accumulate(map(
+        sub, map(opened.get, times, zeros), map(closed.get, times, zeros),
+    ))
     weights: dict[int, int] = {}
-    previous_time: int | None = None
-    for time in sorted(events):
-        if previous_time is not None and time > previous_time:
-            weights[level] = weights.get(level, 0) + (time - previous_time)
-        level += events[time]
-        previous_time = time
+    get = weights.get
+    for level, span in zip(levels, map(sub, times[1:], times)):
+        weights[level] = get(level, 0) + span
     return sorted(weights.items())
 
 
@@ -118,9 +139,9 @@ class OccupancyCdf:
         return self.percentile(0.5)
 
 
-def occupancy_cdf(intervals: list[tuple[int, int]]) -> OccupancyCdf:
-    """Build the CDF of concurrent intervals over time."""
-    weighted = _counts_over_time(intervals)
+def occupancy_cdf(starts: Sequence[int], ends: Sequence[int]) -> OccupancyCdf:
+    """Build the CDF of concurrent ``[start, end)`` intervals over time."""
+    weighted = _counts_over_time(starts, ends)
     total = sum(weight for _, weight in weighted)
     if not total:
         return OccupancyCdf((0,), (1.0,))
@@ -134,42 +155,34 @@ def occupancy_cdf(intervals: list[tuple[int, int]]) -> OccupancyCdf:
     return OccupancyCdf(tuple(levels), tuple(cumulative))
 
 
-def concatenate_records(
-    groups: list[list[LifetimeRecord]],
-) -> list[LifetimeRecord]:
+def concatenate_records(groups: list[list[int] | None]) -> list[int]:
     """Pool per-benchmark lifetime logs without inflating concurrency.
 
     Each benchmark's simulation starts at cycle 0, so naively pooling
-    their records would overlap intervals from different runs and add
+    their logs would overlap intervals from different runs and add
     their concurrency levels. This shifts every group onto a disjoint
     time range, as if the benchmarks ran back to back on one machine.
     """
-    pooled: list[LifetimeRecord] = []
+    pooled: list[int] = []
     offset = 0
     for group in groups:
         group = _recorded(group)
-        end = 0
-        for record in group:
-            pooled.append(LifetimeRecord(
-                record.alloc + offset, record.write + offset,
-                record.last_read + offset, record.free + offset,
-            ))
-            end = max(end, record.free)
-        offset += end + 1
+        pooled += map(offset.__add__, group)
+        offset += max(0, max(group[3::4], default=0)) + 1
     return pooled
 
 
-def allocated_cdf(records: list[LifetimeRecord]) -> OccupancyCdf:
+def allocated_cdf(log: list[int] | None) -> OccupancyCdf:
     """CDF of simultaneously *allocated* physical registers (Figure 2)."""
-    records = _recorded(records)
-    return occupancy_cdf([(r.alloc, r.free) for r in records])
+    log = _recorded(log)
+    return occupancy_cdf(log[0::4], log[3::4])
 
 
-def live_cdf(records: list[LifetimeRecord]) -> OccupancyCdf:
+def live_cdf(log: list[int] | None) -> OccupancyCdf:
     """CDF of simultaneously *live* values (Figure 2).
 
     A value is live from its write until its last read; zero-length live
     ranges (never-read values) contribute nothing.
     """
-    records = _recorded(records)
-    return occupancy_cdf([(r.write, r.last_read) for r in records])
+    log = _recorded(log)
+    return occupancy_cdf(log[1::4], log[2::4])

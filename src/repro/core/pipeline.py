@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.config import MachineConfig
-from repro.core.stats import LifetimeRecord, SimStats
+from repro.core.stats import SimStats
 from repro.errors import RenameError, SimulationError
 from repro.frontend.fetch import PLAN_MISS, FrontEnd
 from repro.isa.instruction import NUM_ARCH_REGS
@@ -529,9 +529,7 @@ class Pipeline:
             if lifetimes is not None:
                 write_time = producer.exec_end + 1
                 last_read = max(producer.last_read, write_time)
-                lifetimes.append(LifetimeRecord(
-                    producer.alloc_time, write_time, last_read, now
-                ))
+                lifetimes += (producer.alloc_time, write_time, last_read, now)
             if predictor is not None:
                 # Every consumer of the value precedes the op that
                 # displaced it, so the trace's use count is final here.
@@ -948,15 +946,14 @@ class Pipeline:
             stats.predictor_supplied = self.predictor.supplied
             stats.predictor_correct = self.predictor.correct
         if self.record_lifetimes:
-            # Close lifetime records for values still allocated at the end.
+            # Close the log for values still allocated at the end.
+            lifetimes = stats.lifetimes
             for producer in self.producers:
                 if producer is None or producer.status != _ISSUED:
                     continue
                 write_time = producer.exec_end + 1
                 last_read = max(producer.last_read, write_time)
-                stats.lifetimes.append(LifetimeRecord(
-                    producer.alloc_time, write_time, last_read, cycles
-                ))
+                lifetimes += (producer.alloc_time, write_time, last_read, cycles)
 
 
 class _ICacheAdapter:

@@ -4,9 +4,15 @@
 analysis layer, so it must travel well: across process boundaries (the
 parallel experiment engine pickles results back from its workers) and
 onto disk (the content-addressed result cache stores JSON). Both paths
-use the compact :meth:`SimStats.to_dict` form, which flattens the
-potentially huge lifetime log into a single integer array instead of a
-list of objects; :meth:`SimStats.from_dict` reverses it exactly.
+use the compact :meth:`SimStats.to_dict` form; :meth:`SimStats.from_dict`
+reverses it exactly.
+
+The lifetime log has one form everywhere: a flat ``list[int]`` with four
+ints per physical-register allocation, ``alloc, write, last_read,
+free``. The pipeline appends to it, ``to_dict`` emits a copy of it, and
+the analyses in :mod:`repro.core.lifetimes` read its columns
+(``log[0::4]`` ...) directly, so no per-allocation object is built on
+any path.
 
 ``to_dict()`` is also the repo's *equality surface*: an engine sweep
 must return ``to_dict()``-equal payloads to direct ``Pipeline`` runs of
@@ -29,58 +35,6 @@ from repro.regfile.register_cache import CacheStats
 #: Bump when the serialized form of :class:`SimStats` changes shape, so
 #: the engine's on-disk result cache invalidates stale entries.
 STATS_SCHEMA_VERSION = 2
-
-
-@dataclass(slots=True)
-class LifetimeRecord:
-    """Lifecycle timestamps of one physical-register allocation.
-
-    The three phases of Figure 1 derive from these: empty = write -
-    alloc; live = last_read - write; dead = free - last_read.
-    """
-
-    alloc: int
-    write: int
-    last_read: int
-    free: int
-
-    @property
-    def empty_time(self) -> int:
-        return max(0, self.write - self.alloc)
-
-    @property
-    def live_time(self) -> int:
-        return max(0, self.last_read - self.write)
-
-    @property
-    def dead_time(self) -> int:
-        return max(0, self.free - self.last_read)
-
-    def to_tuple(self) -> tuple[int, int, int, int]:
-        """Compact 4-tuple form used by the flat serialization."""
-        return (self.alloc, self.write, self.last_read, self.free)
-
-    @classmethod
-    def from_tuple(cls, values) -> "LifetimeRecord":
-        """Inverse of :meth:`to_tuple`."""
-        return cls(*values)
-
-
-def pack_lifetimes(records: list[LifetimeRecord]) -> list[int]:
-    """Flatten lifetime records into one int array (4 ints per record)."""
-    flat: list[int] = []
-    extend = flat.extend
-    for record in records:
-        extend((record.alloc, record.write, record.last_read, record.free))
-    return flat
-
-
-def unpack_lifetimes(flat: list[int]) -> list[LifetimeRecord]:
-    """Inverse of :func:`pack_lifetimes`."""
-    return [
-        LifetimeRecord(flat[i], flat[i + 1], flat[i + 2], flat[i + 3])
-        for i in range(0, len(flat), 4)
-    ]
 
 
 @dataclass
@@ -131,9 +85,10 @@ class SimStats:
     predictor_supplied: int = 0
     predictor_correct: int = 0
 
-    # Per-value lifetime log (Figure 1 / Figure 2 inputs); None when the
-    # run did not record it (MachineConfig.record_lifetimes off).
-    lifetimes: list[LifetimeRecord] | None = field(default_factory=list)
+    # Per-allocation lifetime log (Figure 1 / Figure 2 inputs), four ints
+    # per allocation: alloc, write, last_read, free. None when the run
+    # did not record it (MachineConfig.record_lifetimes off).
+    lifetimes: list[int] | None = field(default_factory=list)
 
     @property
     def ipc(self) -> float:
@@ -250,11 +205,10 @@ class SimStats:
         """Compact plain-data form, exactly invertible by :meth:`from_dict`.
 
         Scalar counters are copied as-is; the cache sub-record becomes a
-        plain dict; the lifetime log is packed into one flat integer
-        array (4 ints per record) so serializing a long run does not drag
-        millions of Python objects through pickle or JSON; an unrecorded
-        log stays ``None``. Pass ``include_lifetimes=False`` to drop the
-        log entirely when the consumer only needs the counters.
+        plain dict; the lifetime log, already one flat int array, is
+        copied so the dict never aliases the live log; an unrecorded log
+        stays ``None``. Pass ``include_lifetimes=False`` to drop the log
+        entirely when the consumer only needs the counters.
         """
         out = {
             f.name: getattr(self, f.name)
@@ -267,22 +221,24 @@ class SimStats:
         elif self.lifetimes is None:
             out["lifetimes"] = None
         else:
-            out["lifetimes"] = pack_lifetimes(self.lifetimes)
+            out["lifetimes"] = list(self.lifetimes)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimStats":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        The lifetime log is kept as given, not copied: it is already the
+        flat array :class:`SimStats` holds.
+        """
         data = dict(data)
         cache = data.get("cache")
         data["cache"] = None if cache is None else CacheStats.from_dict(cache)
-        flat = data.get("lifetimes", [])
-        data["lifetimes"] = None if flat is None else unpack_lifetimes(flat)
         return cls(**data)
 
     def __reduce__(self):
-        # Pickle via the compact dict form: the lifetime log crosses
-        # process boundaries as one flat int list instead of N objects.
+        # Pickle via the compact dict form: plain data only, the same
+        # form the result cache stores.
         return (_simstats_from_dict, (self.to_dict(),))
 
 

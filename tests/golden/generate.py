@@ -2,7 +2,7 @@
 
 ``tests/golden/simstats.json`` pins, for every case below, a SHA-256 of
 the run's counters (``SimStats.to_dict(include_lifetimes=False)`` minus
-the lifetime field) and, for ``use_based`` runs, a SHA-256 of the packed
+the lifetime field) and, for ``use_based`` runs, a SHA-256 of the flat
 lifetime log. Refactors of the timing loop must reproduce every hash;
 a change that is meant to alter simulated behaviour regenerates the
 file and says so.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.core.config import NAMED_CONFIGS, MachineConfig
 from repro.core.pipeline import Pipeline
-from repro.core.stats import SimStats, pack_lifetimes
+from repro.core.stats import SimStats
 from repro.workloads.suite import DEFAULT_SUITE, load_trace
 
 GOLDEN_PATH = Path(__file__).with_name("simstats.json")
@@ -55,8 +55,8 @@ def counters_digest(stats: SimStats) -> str:
 
 
 def lifetimes_digest(stats: SimStats) -> str:
-    """Hash of the packed lifetime log of *stats*."""
-    return _digest(pack_lifetimes(stats.lifetimes))
+    """Hash of the flat lifetime log of *stats*."""
+    return _digest(stats.lifetimes)
 
 
 def cases() -> list[tuple[str, str, str, dict]]:

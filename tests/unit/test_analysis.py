@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.metrics import aggregate_cache_metrics
 from repro.analysis.report import ExperimentResult, render, render_all
-from repro.analysis.sweeps import ipc_curve, load_traces, run_config, sweep
+from repro.analysis.sweeps import load_traces, run_config, sweep
 from repro.core.config import monolithic_config, use_based_config
 from repro.core.simulator import mean_ipc, simulate
 
@@ -45,17 +45,6 @@ def test_sweep_runs_all_configs():
     })
     assert set(results) == {"a", "b"}
     assert set(results["a"]) == {"crc"}
-
-
-def test_ipc_curve_shape():
-    traces = load_traces(("crc",), scale=0.12)
-    curve = ipc_curve(
-        traces,
-        lambda size: use_based_config(cache_entries=size),
-        (16, 64),
-    )
-    assert [point for point, _ in curve] == [16, 64]
-    assert all(ipc > 0 for _, ipc in curve)
 
 
 def test_mean_ipc_geometric():

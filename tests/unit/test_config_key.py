@@ -172,3 +172,34 @@ def test_equal_configs_built_differently_give_equal_job_keys():
     assert a is not b
     assert _job(a).cache_key() == _job(b).cache_key()
     assert _job(scale=1).cache_key() == _job(scale=1.0).cache_key()
+
+
+def test_integral_float_size_simulates_as_the_int(tmp_path):
+    """``cache_entries=64.0`` has the key of ``64``, so it must also
+    simulate like it. Run on an empty cache, the float spelling must
+    produce the int spelling's result, not crash sizing the cache."""
+    from repro.analysis.engine import ExperimentEngine
+    from repro.core.pipeline import Pipeline
+    from repro.workloads.suite import load_trace
+
+    spelled = use_based_config(cache_entries=64.0, backing_read_latency=2.0)
+    assert type(spelled.cache_entries) is int
+    assert type(spelled.backing_read_latency) is int
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    [stats] = engine.run([_job(spelled)])
+    assert engine.counters.executed == 1
+    direct = Pipeline(
+        load_trace("crc", scale=0.02, seed=1), use_based_config(cache_entries=64)
+    ).run()
+    assert stats.to_dict() == direct.to_dict()
+
+
+@pytest.mark.parametrize("field", ["cache_entries", "rf_write_latency"])
+def test_fractional_int_field_is_rejected(field):
+    from repro.errors import ConfigError
+
+    config = use_based_config(**{field: 64.5})
+    with pytest.raises(ConfigError, match=field):
+        config.validate()
+    with pytest.raises(ConfigError, match=field):
+        use_based_config().replace(**{field: 64.5})

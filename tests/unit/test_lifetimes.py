@@ -1,4 +1,8 @@
-"""Unit tests for lifetime analysis (Figures 1 and 2 machinery)."""
+"""Unit tests for lifetime analysis (Figures 1 and 2 machinery).
+
+A lifetime log is flat: four ints per allocation, ``alloc, write,
+last_read, free``.
+"""
 
 import pytest
 
@@ -9,30 +13,25 @@ from repro.core.lifetimes import (
     occupancy_cdf,
     phase_summary,
 )
-from repro.core.stats import LifetimeRecord
-
-
-def rec(alloc, write, last_read, free):
-    return LifetimeRecord(alloc, write, last_read, free)
 
 
 def test_record_phase_lengths():
-    record = rec(0, 5, 9, 20)
-    assert record.empty_time == 5
-    assert record.live_time == 4
-    assert record.dead_time == 11
+    summary = phase_summary([0, 5, 9, 20])
+    assert summary.empty == 5
+    assert summary.live == 4
+    assert summary.dead == 11
 
 
 def test_record_phases_never_negative():
-    record = rec(10, 5, 3, 1)
-    assert record.empty_time == 0
-    assert record.live_time == 0
-    assert record.dead_time == 0
+    summary = phase_summary([10, 5, 3, 1])
+    assert summary.empty == 0
+    assert summary.live == 0
+    assert summary.dead == 0
 
 
 def test_phase_summary_medians():
-    records = [rec(0, 1, 2, 10), rec(0, 3, 6, 10), rec(0, 5, 10, 30)]
-    summary = phase_summary(records)
+    log = [0, 1, 2, 10, 0, 3, 6, 10, 0, 5, 10, 30]
+    summary = phase_summary(log)
     assert summary.empty == 3
     assert summary.live == 3
     assert summary.dead == 8
@@ -44,15 +43,15 @@ def test_phase_summary_empty_input():
 
 
 def test_mean_phase_summary():
-    a = phase_summary([rec(0, 2, 4, 10)])
-    b = phase_summary([rec(0, 4, 8, 10)])
+    a = phase_summary([0, 2, 4, 10])
+    b = phase_summary([0, 4, 8, 10])
     mean = mean_phase_summary([a, b])
     assert mean.empty == 3
     assert mean.live == 3
 
 
 def test_occupancy_cdf_single_interval():
-    cdf = occupancy_cdf([(0, 10)])
+    cdf = occupancy_cdf([0], [10])
     assert cdf.levels == (1,)
     assert cdf.cumulative == (1.0,)
     assert cdf.median == 1
@@ -61,43 +60,43 @@ def test_occupancy_cdf_single_interval():
 def test_occupancy_cdf_overlapping_intervals():
     # Two intervals overlap for half the time: levels 1 and 2 each for
     # half of the occupied span.
-    cdf = occupancy_cdf([(0, 10), (5, 15)])
+    cdf = occupancy_cdf([0, 5], [10, 15])
     assert cdf.levels == (1, 2)
     assert cdf.cumulative[0] == pytest.approx(10 / 15)
     assert cdf.percentile(0.9) == 2
 
 
 def test_occupancy_cdf_gap_counts_zero_level():
-    cdf = occupancy_cdf([(0, 5), (10, 15)])
+    cdf = occupancy_cdf([0, 10], [5, 15])
     assert 0 in cdf.levels
 
 
 def test_occupancy_cdf_empty():
-    cdf = occupancy_cdf([])
+    cdf = occupancy_cdf([], [])
     assert cdf.percentile(0.9) == 0
 
 
 def test_occupancy_cdf_ignores_empty_intervals():
-    cdf = occupancy_cdf([(5, 5), (3, 2)])
+    cdf = occupancy_cdf([5, 3], [5, 2])
     assert cdf.percentile(0.5) == 0
 
 
 def test_allocated_exceeds_live():
-    records = [rec(0, 10, 12, 40), rec(5, 20, 22, 45)]
-    alloc = allocated_cdf(records)
-    live = live_cdf(records)
+    log = [0, 10, 12, 40, 5, 20, 22, 45]
+    alloc = allocated_cdf(log)
+    live = live_cdf(log)
     # Allocation spans dominate live spans.
     assert alloc.percentile(0.9) >= live.percentile(0.9)
 
 
 def test_live_cdf_skips_never_read():
-    records = [rec(0, 10, 10, 40)]  # never read: zero live span
-    cdf = live_cdf(records)
+    log = [0, 10, 10, 40]  # never read: zero live span
+    cdf = live_cdf(log)
     assert cdf.percentile(0.99) == 0
 
 
 def test_percentile_monotone():
-    cdf = occupancy_cdf([(0, 10), (2, 8), (4, 6)])
+    cdf = occupancy_cdf([0, 2, 4], [10, 8, 6])
     values = [cdf.percentile(f) for f in (0.1, 0.5, 0.9, 1.0)]
     assert values == sorted(values)
 

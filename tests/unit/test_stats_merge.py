@@ -98,15 +98,13 @@ class TestMerge:
         assert merged.cache.reads == 4
 
     def test_merge_concatenates_lifetimes(self):
-        from repro.core.stats import LifetimeRecord
-
         a = self._run("gcc", 10, 10)
-        a.lifetimes.append(LifetimeRecord(0, 1, 2, 3))
+        a.lifetimes += (0, 1, 2, 3)
         b = self._run("mcf", 10, 10)
-        b.lifetimes.append(LifetimeRecord(4, 5, 6, 7))
+        b.lifetimes += (4, 5, 6, 7)
         merged = SimStats.merge([a, b])
-        assert len(merged.lifetimes) == 2
-        assert merged.lifetimes[1].alloc == 4
+        assert len(merged.lifetimes) // 4 == 2
+        assert merged.lifetimes[4] == 4
 
     def test_merge_does_not_mutate_inputs(self):
         a = self._run("gcc", 100, 100)

@@ -5,12 +5,7 @@ import pickle
 
 from repro.core.config import monolithic_config, use_based_config
 from repro.core.pipeline import Pipeline
-from repro.core.stats import (
-    LifetimeRecord,
-    SimStats,
-    pack_lifetimes,
-    unpack_lifetimes,
-)
+from repro.core.stats import SimStats
 from repro.workloads.suite import load_trace
 
 
@@ -22,16 +17,23 @@ def _small_stats(config=None):
 
 
 def test_lifetime_record_tuple_round_trip():
-    record = LifetimeRecord(3, 7, 20, 31)
-    assert LifetimeRecord.from_tuple(record.to_tuple()) == record
+    """One allocation's four ints survive the dict form in order."""
+    stats = SimStats(lifetimes=[3, 7, 20, 31])
+    assert SimStats.from_dict(stats.to_dict()).lifetimes == [3, 7, 20, 31]
 
 
 def test_pack_unpack_lifetimes():
-    records = [LifetimeRecord(0, 1, 2, 3), LifetimeRecord(10, 12, 30, 44)]
-    flat = pack_lifetimes(records)
+    """The flat log is the serialized form: ``to_dict`` emits a copy of
+    it, never the live list, and ``from_dict`` keeps it as given."""
+    stats = SimStats(lifetimes=[0, 1, 2, 3, 10, 12, 30, 44])
+    flat = stats.to_dict()["lifetimes"]
     assert flat == [0, 1, 2, 3, 10, 12, 30, 44]
-    assert unpack_lifetimes(flat) == records
-    assert unpack_lifetimes([]) == []
+    assert flat is not stats.lifetimes
+    flat.append(99)
+    assert stats.lifetimes == [0, 1, 2, 3, 10, 12, 30, 44]
+    data = {"lifetimes": [0, 1, 2, 3]}
+    assert SimStats.from_dict(data).lifetimes is data["lifetimes"]
+    assert SimStats.from_dict(SimStats().to_dict()).lifetimes == []
 
 
 def test_to_dict_round_trips_through_json():
@@ -69,6 +71,6 @@ def test_pickle_round_trip_is_exact_and_compact():
     payload = pickle.dumps(stats)
     rebuilt = pickle.loads(payload)
     assert rebuilt.to_dict() == stats.to_dict()
-    # The reduce hook flattens the lifetime log: the pickle must not
-    # grow a per-record object graph.
-    assert b"LifetimeRecord" not in payload
+    # The reduce hook pickles the compact dict, whose lifetime log is
+    # one flat int list: the payload is that dict plus the hook's name.
+    assert len(payload) < len(pickle.dumps(stats.to_dict())) + 100
