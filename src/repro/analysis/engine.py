@@ -19,14 +19,15 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   :meth:`ExperimentEngine.run` call each distinct key is looked up once
   and executed at most once; a repeated key's later slots take the
   first slot's outcome and count as cache hits.
-* **Fault tolerance** — each job can carry a wall-clock budget
-  (``REPRO_JOB_TIMEOUT``): a worker-side ``SIGALRM`` unwinds a hung
-  simulation and an engine-side watchdog terminates workers that
-  cannot even do that. Only timeouts and crashed workers are retried
-  (up to ``REPRO_JOB_RETRIES`` times, in a fresh pool): jobs are
-  deterministic, so an ``error`` or ``invalid`` result would only
-  repeat and is final on its first attempt. A crashed worker therefore
-  costs one retry round, not the sweep.
+* **One attempt per job** — jobs are deterministic simulations, so a
+  failure would only repeat: every job runs once and its outcome is
+  final. A runaway job stops inside the simulator
+  (``MachineConfig.max_cycles`` during timing, the VM's
+  ``max_instructions`` during trace generation) and surfaces as an
+  ``error``. A worker that dies breaks its pool; the jobs still in it
+  rerun one per fresh pool, so only the job that killed its worker
+  ends as a ``crash``. Recovery is a re-run: the result cache makes it
+  execute only the holes.
 * **Validation before caching** — every freshly executed result must
   pass the differential oracle's conservation invariants
   (:func:`repro.testing.oracle.validate_stats`) and a serialization
@@ -45,19 +46,19 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   traceback) rather than poisoning the whole sweep; by default the
   first captured failure re-raises as
   :class:`~repro.errors.EngineError`.
-* **One job path** — serial and parallel rounds run every job the
+* **One job path** — the serial and parallel paths run every job the
   same way (:func:`_execute_job`): resolve the trace, take its branch
   plan (:func:`~repro.frontend.fetch.branch_plan_for`, memoized on the
   trace, so one prediction pass per trace per process), simulate. No
   job is grouped with another, so a fault never reaches past its job.
 * **Observability** — the engine counts jobs, cache hits/misses,
-  retries, timeouts, trace-cache repairs, refused manifest writes,
-  and per-job wall-clock (including p50/p95); it logs
-  live progress through :mod:`repro.obs.log`; and every run appends
-  per-job records — job identity, config hash, trace provenance, cache
-  hit/miss, wall-clock, worker pid, failure traceback — to a JSONL
-  manifest under the cache directory (:mod:`repro.obs.manifest`),
-  which ``python -m repro.analysis.obs summarize`` rolls up.
+  errors, refused manifest writes, and per-job wall-clock (including
+  p50/p95); it logs live progress through :mod:`repro.obs.log`; and
+  every run appends per-job records — job identity, config hash, trace
+  provenance, cache hit/miss, wall-clock, worker pid, failure
+  traceback — to a JSONL manifest under the cache directory
+  (:mod:`repro.obs.manifest`), which ``python -m repro.analysis.obs
+  summarize`` rolls up.
 
 Environment knobs (read when the shared engine is created):
 
@@ -65,10 +66,6 @@ Environment knobs (read when the shared engine is created):
   = one per CPU).
 * ``REPRO_CACHE`` — set to ``0`` to disable the on-disk result cache.
 * ``REPRO_CACHE_DIR`` — cache location (default ``.repro-cache``).
-* ``REPRO_JOB_TIMEOUT`` — per-job wall-clock budget in seconds
-  (``0``/unset = no budget).
-* ``REPRO_JOB_RETRIES`` — how many times a timed-out or crashed
-  attempt is retried (``0``/unset = fail fast).
 * ``REPRO_FAULTS`` — arm the deterministic fault-injection plan (see
   :mod:`repro.testing.faults`); inert unless set.
 * ``REPRO_MANIFEST`` — ``0`` disables run manifests; a path overrides
@@ -87,8 +84,6 @@ import itertools
 import json
 import os
 import pickle
-import signal
-import threading
 import time
 import traceback
 import uuid
@@ -98,14 +93,13 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     as_completed,
 )
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import MachineConfig
 from repro.core.pipeline import Pipeline
 from repro.core.stats import STATS_SCHEMA_VERSION, SimStats
-from repro.errors import EngineError, JobTimeoutError
+from repro.errors import EngineError
 from repro.frontend.fetch import branch_plan_for
 from repro.obs.log import ProgressReporter, get_logger
 from repro.obs.manifest import (
@@ -126,9 +120,6 @@ _tmp_counter = itertools.count()
 #: Bump to invalidate every cached result regardless of code changes
 #: (e.g. when the cache file layout or the job-key layout changes).
 CACHE_SCHEMA_VERSION = 2
-
-#: Outcomes worth another attempt: the rest repeat deterministically.
-_TRANSIENT = ("timeout", "crash")
 
 _code_fingerprint_memo: str | None = None
 
@@ -250,10 +241,9 @@ class SimJob:
 class JobFailure:
     """Captured failure of one job (kept instead of a SimStats).
 
-    ``kind`` distinguishes how the final attempt died: ``error``
-    (exception in the simulator), ``timeout`` (wall-clock budget),
-    ``crash`` (worker process died), ``invalid`` (result rejected by
-    the oracle's conservation invariants).
+    ``kind`` distinguishes how the job died: ``error`` (exception in
+    the simulator), ``crash`` (worker process died), ``invalid``
+    (result rejected by the oracle's conservation invariants).
     """
 
     job: SimJob
@@ -268,39 +258,18 @@ class JobFailure:
 # Worker shim.
 
 
-def _raise_job_timeout(signum, frame):  # pragma: no cover - signal path
-    raise JobTimeoutError("job exceeded its wall-clock budget")
-
-
-def _alarm_usable() -> bool:
-    """SIGALRM timeouts need a main thread on a POSIX platform."""
-    return (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-
-
 def _execute_job(
-    job: SimJob,
-    attempt: int = 0,
-    timeout: float = 0.0,
-    allow_crash: bool = False,
+    job: SimJob, allow_crash: bool = False,
 ) -> tuple[str, object, float, int | None]:
     """Run one job; never raises (worker-side error capture).
 
     Returns ``(status, payload, wall_seconds, worker_pid)`` where
-    *status* is ``ok`` (payload = SimStats), ``timeout``, ``crash``
-    (an injected fault on the in-process path), or ``error`` (payload
-    = traceback text). Runs in worker processes, so it must stay
-    module-level (picklable by reference). *attempt* is the engine's
-    retry counter — it feeds the fault plan so injected faults are
-    deterministic across processes and a retried attempt can
-    deterministically succeed.
-
-    With *timeout* > 0 a ``SIGALRM`` one-shot timer bounds the job's
-    wall clock; *allow_crash* lets the ``crash`` fault site call
-    ``os._exit`` (pool workers only — in-process execution raises
-    instead, so the host survives).
+    *status* is ``ok`` (payload = SimStats), ``crash`` (an injected
+    fault on the in-process path), or ``error`` (payload = traceback
+    text). Runs in worker processes, so it must stay module-level
+    (picklable by reference). *allow_crash* lets the ``crash`` fault
+    site call ``os._exit`` (pool workers only — in-process execution
+    raises instead, so the host survives).
 
     The job resolves its trace (memoized per process), takes the
     trace's branch plan (:func:`branch_plan_for`, computed by the first
@@ -311,34 +280,15 @@ def _execute_job(
     pid = os.getpid()
     try:
         identity = job.fault_identity() if faults.enabled() else ""
-        armed = False
-        previous = None
-        try:
-            if timeout > 0 and _alarm_usable():
-                previous = signal.signal(signal.SIGALRM, _raise_job_timeout)
-                signal.setitimer(signal.ITIMER_REAL, timeout)
-                armed = True
-            faults.crash_point(identity, attempt, allow_exit=allow_crash)
-            faults.hang_point(identity, attempt)
-            trace = job.resolve_trace()
-            # Memoized on the trace: the prediction pass is a step of
-            # its own, not a hidden part of Pipeline construction.
-            branch_plan_for(trace)
-            stats = Pipeline(trace, job.config).run()
-            if faults.fire("bad_stats", identity, attempt):
-                stats.retired = -stats.retired - 1
-            return ("ok", stats, time.perf_counter() - start, pid)
-        finally:
-            if armed:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-                signal.signal(signal.SIGALRM, previous)
-    except JobTimeoutError:
-        return (
-            "timeout",
-            f"exceeded {timeout:.3f}s wall-clock budget "
-            f"(attempt {attempt})",
-            time.perf_counter() - start, pid,
-        )
+        faults.crash_point(identity, allow_exit=allow_crash)
+        trace = job.resolve_trace()
+        # Memoized on the trace: the prediction pass is a step of its
+        # own, not a hidden part of Pipeline construction.
+        branch_plan_for(trace)
+        stats = Pipeline(trace, job.config).run()
+        if faults.job_fault("bad_stats", identity):
+            stats.retired = -stats.retired - 1
+        return ("ok", stats, time.perf_counter() - start, pid)
     except faults.InjectedFault:
         return (
             "crash", traceback.format_exc(), time.perf_counter() - start, pid,
@@ -353,9 +303,13 @@ def _execute_job(
 # Observability counters.
 
 
-#: Snapshot keys that are distribution summaries rather than additive
-#: counters; :meth:`EngineCounters.since` reports their current value.
-_NON_ADDITIVE = ("max_job_seconds", "job_seconds_p50", "job_seconds_p95")
+def _wall_summary(walls: list[float]) -> dict[str, float]:
+    """Max and p50/p95 of job wall-clocks (all 0 when *walls* is empty)."""
+    return {
+        "max_job_seconds": round(max(walls, default=0.0), 6),
+        "job_seconds_p50": round(percentile(walls, 0.50), 6),
+        "job_seconds_p95": round(percentile(walls, 0.95), 6),
+    }
 
 
 @dataclass
@@ -367,30 +321,20 @@ class EngineCounters:
     cache_hits: int = 0
     cache_misses: int = 0
     errors: int = 0
-    retries: int = 0
-    timeouts: int = 0
     parallel_jobs: int = 0
     serial_fallbacks: int = 0
     job_seconds: float = 0.0
-    max_job_seconds: float = 0.0
     engine_seconds: float = 0.0
-    traces_generated: int = 0
-    traces_loaded: int = 0
-    trace_gen_seconds: float = 0.0
-    trace_load_seconds: float = 0.0
-    #: Corrupt trace-cache entries regenerated while warming traces.
-    trace_cache_repairs: int = 0
     #: Manifest writes the filesystem refused (the run goes on).
     manifest_write_failures: int = 0
-    #: Wall-clock of every executed job, for the percentiles.
+    #: Wall-clock of every executed job, in execution order, for the
+    #: max and percentiles (``executed`` indexes the next one).
     job_walls: list[float] = field(default_factory=list, repr=False)
 
     def record_job(self, wall: float) -> None:
         """Fold one executed job's wall-clock into the aggregates."""
         self.executed += 1
         self.job_seconds += wall
-        if wall > self.max_job_seconds:
-            self.max_job_seconds = wall
         self.job_walls.append(wall)
 
     def snapshot(self) -> dict[str, float]:
@@ -400,38 +344,25 @@ class EngineCounters:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "errors": self.errors,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
             "parallel_jobs": self.parallel_jobs,
             "serial_fallbacks": self.serial_fallbacks,
             "job_seconds": round(self.job_seconds, 6),
-            "max_job_seconds": round(self.max_job_seconds, 6),
-            "job_seconds_p50": round(percentile(self.job_walls, 0.50), 6),
-            "job_seconds_p95": round(percentile(self.job_walls, 0.95), 6),
+            **_wall_summary(self.job_walls),
             "engine_seconds": round(self.engine_seconds, 6),
-            "traces_generated": self.traces_generated,
-            "traces_loaded": self.traces_loaded,
-            "trace_gen_seconds": round(self.trace_gen_seconds, 6),
-            "trace_load_seconds": round(self.trace_load_seconds, 6),
-            "trace_cache_repairs": self.trace_cache_repairs,
             "manifest_write_failures": self.manifest_write_failures,
         }
 
     def since(self, before: dict[str, float]) -> dict[str, float]:
-        """Delta of the additive counters since a snapshot.
+        """Delta of the counters since a snapshot.
 
-        ``max_job_seconds`` and the wall-clock percentiles are
-        distribution summaries, not additive, so the delta reports
-        their current value.
+        The max and percentiles summarize only the jobs executed since
+        *before* (0 when none ran), not every job this engine ran.
         """
         now = self.snapshot()
-        delta = {
-            key: round(now[key] - before.get(key, 0), 6)
-            for key in now
-            if key not in _NON_ADDITIVE
-        }
-        for key in _NON_ADDITIVE:
-            delta[key] = now[key]
+        delta = {key: round(now[key] - before.get(key, 0), 6) for key in now}
+        delta.update(
+            _wall_summary(self.job_walls[int(before.get("executed", 0)):])
+        )
         return delta
 
 
@@ -450,11 +381,6 @@ class ExperimentEngine:
             ``REPRO_CACHE_DIR`` (default ``.repro-cache``).
         use_cache: disable to always re-simulate; ``None`` reads
             ``REPRO_CACHE`` (anything but ``0``/``false`` enables).
-        job_timeout: per-job wall-clock budget in seconds; ``None``
-            reads ``REPRO_JOB_TIMEOUT`` (default 0 = unbounded).
-        retries: how many times a timed-out or crashed job is
-            retried; ``None`` reads ``REPRO_JOB_RETRIES`` (default 0 =
-            fail fast).
     """
 
     def __init__(
@@ -462,8 +388,6 @@ class ExperimentEngine:
         workers: int | None = None,
         cache_dir: str | os.PathLike | None = None,
         use_cache: bool | None = None,
-        job_timeout: float | None = None,
-        retries: int | None = None,
     ) -> None:
         if workers is None:
             workers = _parse_jobs()
@@ -478,16 +402,6 @@ class ExperimentEngine:
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
         self.cache_dir = Path(cache_dir)
-        if job_timeout is None:
-            job_timeout = _env_number(
-                "REPRO_JOB_TIMEOUT", float, 0.0, "seconds",
-            )
-        self.job_timeout = max(0.0, job_timeout)
-        if retries is None:
-            retries = _env_number(
-                "REPRO_JOB_RETRIES", int, 0, "a retry count",
-            )
-        self.retries = max(0, retries)
         self.counters = EngineCounters()
         #: Every JobFailure this engine has returned (graceful-degradation
         #: consumers read the tail to report holes).
@@ -509,10 +423,11 @@ class ExperimentEngine:
         """Execute *jobs*, returning results in job order.
 
         Cached results are loaded without simulating; the remainder run
-        serially or across a process pool, with per-job timeouts and
-        bounded retries when configured. Results and manifest records
-        are published incrementally as jobs finish, so re-running an
-        interrupted sweep executes only the jobs it never finished.
+        once each, serially or across a process pool. Every fresh
+        result is validated before it is cached. Results and manifest
+        records are published incrementally as jobs finish, so
+        re-running an interrupted or partly failed sweep executes only
+        the jobs it never finished.
         With ``raise_on_error`` (the default) the first captured
         failure re-raises as :class:`EngineError`; otherwise failed
         slots hold falsy :class:`JobFailure` records and the sweep
@@ -572,7 +487,7 @@ class ExperimentEngine:
         failures: list[JobFailure] = []
         repairs = 0
         if pending:
-            trace_before = trace_counters().snapshot()
+            repairs_before = trace_counters().repairs
             pending_jobs = [jobs[index] for index in pending]
             self._warm_traces(pending_jobs)
             hit_rate = (
@@ -583,14 +498,16 @@ class ExperimentEngine:
                 total=len(pending), logger=_log,
                 label=f"run {run_id}",
             )
-            recovery = self._execute_with_recovery(
-                pending_jobs, workers, progress,
-            )
-            for local_index, outcome in recovery:
+            outcomes = self._execute_pending(pending_jobs, workers, progress)
+            for local_index, outcome in outcomes:
                 index = pending[local_index]
                 job = jobs[index]
                 status, payload, wall, worker = outcome
                 counters.record_job(wall)
+                if status == "ok":
+                    problem = self._validate_result(payload)
+                    if problem is not None:
+                        status, payload = "invalid", problem
                 if status == "ok":
                     if self.use_cache and keys[index] is not None:
                         self._cache_store(job, payload, key=keys[index])
@@ -614,13 +531,7 @@ class ExperimentEngine:
                             error=error,
                         )
                     )
-            trace_delta = trace_counters().since(trace_before)
-            counters.traces_generated += int(trace_delta["traces_generated"])
-            counters.traces_loaded += int(trace_delta["traces_loaded"])
-            counters.trace_gen_seconds += trace_delta["trace_gen_seconds"]
-            counters.trace_load_seconds += trace_delta["trace_load_seconds"]
-            repairs = int(trace_delta["trace_cache_repairs"])
-            counters.trace_cache_repairs += repairs
+            repairs = trace_counters().repairs - repairs_before
             _log.info(
                 "run %s: done, cumulative cache hits %s, errors %d",
                 run_id, hit_rate, len(failures),
@@ -712,25 +623,6 @@ class ExperimentEngine:
             record["error"] = error
         return record
 
-    def run_grid(
-        self,
-        traces: dict[str, Trace],
-        config: MachineConfig,
-        *,
-        raise_on_error: bool = True,
-    ) -> dict[str, SimStats | JobFailure]:
-        """Simulate every named trace under *config* (cached, parallel).
-
-        With ``raise_on_error=False`` failed names map to falsy
-        :class:`JobFailure` holes instead of the call raising.
-        """
-        jobs = [
-            SimJob.for_trace(trace, config, label=name)
-            for name, trace in traces.items()
-        ]
-        stats = self.run(jobs, raise_on_error=raise_on_error)
-        return dict(zip(traces.keys(), stats))
-
     # ------------------------------------------------------------------
     # Execution strategies.
 
@@ -758,54 +650,6 @@ class ExperimentEngine:
             except Exception:
                 pass
 
-    def _execute_with_recovery(
-        self,
-        jobs: Sequence[SimJob],
-        workers: int,
-        progress: ProgressReporter | None = None,
-    ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
-        """Yield ``(index, final_outcome)`` per job, retrying transients.
-
-        Jobs run in rounds. A job that timed out or whose worker crashed
-        is retried in the next round (fresh pool, so a poisoned pool
-        costs one round), up to :attr:`retries` extra attempts. An
-        ``error`` or a result rejected by the oracle is final at once:
-        the simulation is deterministic and would fail the same way
-        again. Outcomes are yielded as soon as they are final, so the
-        caller can cache and record them incrementally.
-        """
-        counters = self.counters
-        remaining = list(range(len(jobs)))
-        attempts = [0] * len(jobs)
-        while remaining:
-            retry: list[int] = []
-            round_outcomes = self._run_round(
-                [jobs[i] for i in remaining],
-                [attempts[i] for i in remaining],
-                workers, progress,
-            )
-            for local_index, outcome in round_outcomes:
-                index = remaining[local_index]
-                attempts[index] += 1
-                status, payload, wall, worker = outcome
-                if status == "timeout":
-                    counters.timeouts += 1
-                if status == "ok":
-                    problem = self._validate_result(payload)
-                    if problem is not None:
-                        status = "invalid"
-                        outcome = ("invalid", problem, wall, worker)
-                if status in _TRANSIENT and attempts[index] <= self.retries:
-                    counters.retries += 1
-                    _log.warning(
-                        "job %s attempt %d ended in %s; retrying",
-                        jobs[index].describe(), attempts[index], status,
-                    )
-                    retry.append(index)
-                    continue
-                yield index, outcome
-            remaining = retry
-
     def _validate_result(self, stats: object) -> str | None:
         """Reject a result the oracle or the serializer cannot vouch for.
 
@@ -827,25 +671,25 @@ class ExperimentEngine:
             )
         return None
 
-    def _run_round(
+    def _execute_pending(
         self,
         jobs: Sequence[SimJob],
-        attempts: Sequence[int],
         workers: int,
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
-        """Yield ``(local_index, outcome)`` as this round's jobs finish.
+        """Yield ``(local_index, outcome)`` as *jobs* finish.
 
-        Streaming (rather than returning the round as a batch) means an
-        interrupt mid-round loses no finished job: each has already been
-        folded into results, cache, and manifest by the consumer. If the parallel path dies after partially yielding,
-        only the jobs it never reported are re-run serially.
+        Streaming (rather than returning the jobs as a batch) means an
+        interrupt mid-sweep loses no finished job: each has already been
+        folded into results, cache, and manifest by the consumer. If
+        the parallel path dies after partially yielding, only the jobs
+        it never reported are re-run serially.
         """
         done = [False] * len(jobs)
         if workers > 1 and len(jobs) > 1:
             try:
-                for index, outcome in self._round_parallel(
-                    jobs, attempts, workers, progress,
+                for index, outcome in self._execute_parallel(
+                    jobs, workers, progress,
                 ):
                     done[index] = True
                     yield index, outcome
@@ -855,30 +699,27 @@ class ExperimentEngine:
                 # broken worker, unpicklable payload): fall back serial.
                 self.counters.serial_fallbacks += 1
         pending = [i for i in range(len(jobs)) if not done[i]]
-        for local, outcome in self._round_serial(
-            [jobs[i] for i in pending],
-            [attempts[i] for i in pending], progress,
+        for local, outcome in self._execute_serial(
+            [jobs[i] for i in pending], progress,
         ):
             yield pending[local], outcome
 
-    def _round_serial(
+    def _execute_serial(
         self,
         jobs: Sequence[SimJob],
-        attempts: Sequence[int],
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
-        for index, (job, attempt) in enumerate(zip(jobs, attempts)):
+        for index, job in enumerate(jobs):
             if faults.enabled():
-                faults.interrupt_point(job.fault_identity(), attempt)
-            outcome = _execute_job(job, attempt, self.job_timeout, False)
+                faults.interrupt_point(job.fault_identity())
+            outcome = _execute_job(job)
             if progress is not None:
                 progress.update()
             yield index, outcome
 
-    def _round_parallel(
+    def _execute_parallel(
         self,
         jobs: Sequence[SimJob],
-        attempts: Sequence[int],
         workers: int,
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
@@ -887,71 +728,33 @@ class ExperimentEngine:
         A worker that dies breaks the whole pool and fails every job
         still in it. Those jobs rerun one at a time, each in a fresh
         one-worker pool, so only the job that kills its own worker ends
-        as a ``crash``: a crash costs the rest of the round its
+        as a ``crash``: a crash costs the rest of the sweep its
         parallelism, not its results.
         """
-        reported: set[int] = set()
         broken: list[int] = []
-        timeout = self.job_timeout
-        # Engine-side watchdog backstop for workers so far gone that
-        # their own SIGALRM cannot fire: enough wall clock for every
-        # queued job to use its full budget, plus slack.
-        watchdog = None
-        if timeout > 0:
-            waves = -(-len(jobs) // workers)
-            watchdog = timeout * (waves + 1) + 5.0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(
-                    _execute_job, job, attempt, timeout, True,
-                ): index
-                for index, (job, attempt) in enumerate(zip(jobs, attempts))
+                pool.submit(_execute_job, job, True): index
+                for index, job in enumerate(jobs)
             }
-            try:
-                # Yield in completion order so progress (and its ETA)
-                # is live; the caller re-maps indices.
-                for future in as_completed(futures, timeout=watchdog):
-                    index = futures[future]
-                    reported.add(index)
-                    try:
-                        outcome = future.result()
-                    except Exception as error:
-                        if isinstance(error, BrokenExecutor) and len(jobs) > 1:
-                            broken.append(index)
-                            continue
-                        outcome = ("crash", traceback.format_exc(), 0.0, None)
-                    if progress is not None:
-                        progress.update()
-                    self.counters.parallel_jobs += 1
-                    yield index, outcome
-            except FuturesTimeout:
-                self._terminate_pool(pool)
-                for future, index in futures.items():
-                    future.cancel()
-                    if index not in reported:
-                        reported.add(index)
-                        self.counters.parallel_jobs += 1
-                        yield index, (
-                            "timeout",
-                            f"no result within the {watchdog:.1f}s "
-                            "watchdog; worker terminated",
-                            0.0, None,
-                        )
-        for index in broken:
-            for _, outcome in self._round_parallel(
-                [jobs[index]], [attempts[index]], 1, progress,
-            ):
+            # Yield in completion order so progress (and its ETA) is
+            # live; the caller re-maps indices.
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    outcome = future.result()
+                except Exception as error:
+                    if isinstance(error, BrokenExecutor) and len(jobs) > 1:
+                        broken.append(index)
+                        continue
+                    outcome = ("crash", traceback.format_exc(), 0.0, None)
+                if progress is not None:
+                    progress.update()
+                self.counters.parallel_jobs += 1
                 yield index, outcome
-
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-        """Kill a pool's workers so ``shutdown`` cannot wait forever."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
+        for index in broken:
+            for _, outcome in self._execute_parallel([jobs[index]], 1, progress):
+                yield index, outcome
 
     # ------------------------------------------------------------------
     # On-disk result cache.
@@ -1059,8 +862,6 @@ def configure(
     workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool | None = None,
-    job_timeout: float | None = None,
-    retries: int | None = None,
 ) -> ExperimentEngine:
     """Replace the shared engine (tests, benchmarks, notebooks).
 
@@ -1070,6 +871,5 @@ def configure(
     global _shared_engine
     _shared_engine = ExperimentEngine(
         workers=workers, cache_dir=cache_dir, use_cache=use_cache,
-        job_timeout=job_timeout, retries=retries,
     )
     return _shared_engine

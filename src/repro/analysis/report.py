@@ -58,12 +58,6 @@ def _engine_note(meta: dict) -> str | None:
     errors = engine.get("errors", 0)
     if errors:
         parts.append(f"{errors} FAILED")
-    retries = engine.get("retries", 0)
-    if retries:
-        parts.append(f"{retries} retried")
-    timeouts = engine.get("timeouts", 0)
-    if timeouts:
-        parts.append(f"{timeouts} timed out")
     seconds = engine.get("engine_seconds")
     if isinstance(seconds, (int, float)):
         parts.append(f"{seconds:.2f}s")

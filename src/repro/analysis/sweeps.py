@@ -46,12 +46,11 @@ def run_config(
     config: MachineConfig,
     engine: ExperimentEngine | None = None,
 ) -> dict[str, SimStats | JobFailure]:
-    """Simulate every trace under *config* (cached, possibly parallel).
+    """Simulate every trace under *config*: one column of :func:`sweep`.
 
     Failed benchmarks map to falsy :class:`JobFailure` holes.
     """
-    engine = engine or get_engine()
-    return engine.run_grid(traces, config, raise_on_error=False)
+    return sweep(traces, {None: config}, engine)[None]
 
 
 def sweep(

@@ -49,16 +49,6 @@ class EngineError(ReproError):
     """
 
 
-class JobTimeoutError(EngineError):
-    """Raised inside a worker when a job exceeds its wall-clock budget.
-
-    The engine's worker shim arms a ``SIGALRM`` timer around each job
-    (``REPRO_JOB_TIMEOUT``); the alarm handler raises this so a hung
-    simulation unwinds cleanly and is reported as a ``timeout`` outcome
-    eligible for retry, instead of stalling the whole sweep.
-    """
-
-
 class SimulationError(ReproError):
     """Raised when the timing model reaches an impossible state.
 

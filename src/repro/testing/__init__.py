@@ -5,10 +5,10 @@ because its two halves are wired into production code paths:
 
 * :mod:`repro.testing.faults` — a deterministic, seed-driven fault
   injection layer. The experiment engine, trace factory, and manifest
-  writer carry cheap injection points (worker crash, worker hang,
-  corrupt result-cache entry, truncated trace file, ENOSPC on manifest
-  writes, mid-sweep interrupt) that are inert unless ``REPRO_FAULTS``
-  arms a plan. The chaos test suite (``tests/chaos``) drives every
+  writer carry cheap injection points (worker crash, corrupted job
+  result, corrupt result-cache entry, truncated trace file, ENOSPC on
+  manifest writes, mid-sweep interrupt) that are inert unless
+  ``REPRO_FAULTS`` arms a plan. The chaos test suite (``tests/chaos``) drives every
   recovery path end-to-end through these hooks.
 * :mod:`repro.testing.oracle` — a lightweight differential oracle: an
   in-order functional reference that replays a trace and cross-checks

@@ -1,37 +1,35 @@
 """Deterministic, seed-driven fault injection (``REPRO_FAULTS``).
 
 The engine, trace factory, and manifest writer contain *injection
-points*: named sites where a controlled fault can be triggered. A site
-fires based only on ``(seed, site, identity, attempt)`` — the same plan
-always faults the same jobs — so chaos tests are reproducible and a
-retried attempt can deterministically succeed where the first one
-failed.
+points*: named sites where a controlled fault can be triggered. Every
+decision hashes ``(seed, site, identity)`` — the same plan always
+faults the same jobs and entries — so chaos tests are reproducible.
 
 Plan specs are comma/semicolon-separated ``key=value`` pairs::
 
-    REPRO_FAULTS="seed=42,crash=1.0,hang=0.5,times=1,hang_seconds=30"
+    REPRO_FAULTS="seed=42,crash=0.5,corrupt_cache=1.0,times=1"
 
 Recognized keys:
 
 * ``seed`` — integer mixed into every decision hash (default 0).
-* ``times`` — how many times a given ``(site, identity)`` pair may
-  fire (default 1), so bounded retries eventually get a clean attempt.
-* ``hang_seconds`` — how long the ``hang`` site sleeps (default 3600;
-  chaos tests pair it with a small ``REPRO_JOB_TIMEOUT``).
-* one probability in ``[0, 1]`` per site: ``crash`` (worker calls
-  ``os._exit``; raised as :class:`InjectedFault` on the in-process
-  serial path so the host survives), ``hang`` (worker sleeps),
-  ``corrupt_cache`` (result-cache entry written truncated),
-  ``truncate_trace`` (packed trace written truncated), ``enospc``
-  (manifest write raises ``OSError(ENOSPC)``), ``interrupt``
+* ``times`` — how many times a write-side site may fire for one
+  identity in one process (default 1), so the re-store after a repair
+  is written clean.
+* one probability in ``[0, 1]`` per site. Job-level sites: ``crash``
+  (worker calls ``os._exit``; raised as :class:`InjectedFault` on the
+  in-process serial path so the host survives), ``interrupt``
   (``KeyboardInterrupt`` before a serial job, simulating Ctrl-C
   mid-sweep), ``bad_stats`` (a finished job's statistics are corrupted
-  so engine-side validation must reject them).
+  so engine-side validation must reject them). Write-side sites:
+  ``corrupt_cache`` (result-cache entry written truncated),
+  ``truncate_trace`` (packed trace written truncated), ``enospc``
+  (manifest write raises ``OSError(ENOSPC)``).
 
-Decisions that have no explicit *attempt* (cache/manifest sites, where
-"attempt" is not a meaningful concept) consume a per-process occurrence
-counter instead, so e.g. the re-store after a corrupt-entry repair is
-written clean.
+A job-level site decides on ``(seed, site, identity)`` alone
+(:func:`job_fault`), so a pool worker and the host agree, and a job it
+hits fails the same way on every run while the plan is armed. A
+write-side site (:func:`fire`) also counts its firings per process, up
+to ``times``.
 """
 
 from __future__ import annotations
@@ -39,13 +37,12 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 #: Every injection point wired into the library.
 FAULT_SITES = (
-    "crash", "hang", "corrupt_cache", "truncate_trace", "enospc",
+    "crash", "corrupt_cache", "truncate_trace", "enospc",
     "interrupt", "bad_stats",
 )
 
@@ -68,7 +65,6 @@ class FaultPlan:
 
     seed: int = 0
     times: int = 1
-    hang_seconds: float = 3600.0
     rates: MappingProxyType = field(
         default_factory=lambda: MappingProxyType({})
     )
@@ -76,15 +72,15 @@ class FaultPlan:
     def rate(self, site: str) -> float:
         return self.rates.get(site, 0.0)
 
-    def decide(self, site: str, identity: str, attempt: int = 0) -> bool:
-        """Whether *site* faults *identity* on its *attempt*-th try.
+    def decide(self, site: str, identity: str, occurrence: int = 0) -> bool:
+        """Whether *site* faults *identity* on its *occurrence*-th chance.
 
         Pure function of the plan: hash ``(seed, site, identity)`` to a
         uniform draw in [0, 1) and compare against the site's rate;
-        attempts at or beyond ``times`` never fault.
+        occurrences at or beyond ``times`` never fault.
         """
         rate = self.rates.get(site, 0.0)
-        if rate <= 0.0 or attempt >= self.times:
+        if rate <= 0.0 or occurrence >= self.times:
             return False
         material = f"{self.seed}\x1f{site}\x1f{identity}".encode("utf-8")
         digest = hashlib.sha256(material).digest()
@@ -104,7 +100,6 @@ def parse_plan(spec: str) -> FaultPlan | None:
         return None
     seed = 0
     times = 1
-    hang_seconds = 3600.0
     rates: dict[str, float] = {}
     for token in spec.replace(";", ",").split(","):
         token = token.strip()
@@ -119,8 +114,6 @@ def parse_plan(spec: str) -> FaultPlan | None:
             seed = int(value)
         elif key == "times":
             times = int(value)
-        elif key == "hang_seconds":
-            hang_seconds = float(value)
         elif key in FAULT_SITES:
             rate = float(value)
             if not 0.0 <= rate <= 1.0:
@@ -136,8 +129,7 @@ def parse_plan(spec: str) -> FaultPlan | None:
     if not rates:
         return None
     return FaultPlan(
-        seed=seed, times=times, hang_seconds=hang_seconds,
-        rates=MappingProxyType(rates),
+        seed=seed, times=times, rates=MappingProxyType(rates),
     )
 
 
@@ -189,20 +181,27 @@ def reset() -> None:
     _occurrences.clear()
 
 
-def fire(site: str, identity: str = "", attempt: int | None = None) -> bool:
-    """Should *site* fault now? The single decision entry point.
+def job_fault(site: str, identity: str) -> bool:
+    """Should job-level *site* fault the job *identity*?
 
-    With an explicit *attempt* (the engine's retry counter) the decision
-    is a pure function — correct across worker processes, which start
-    with fresh module state. Without one, a per-process occurrence
-    counter for ``(site, identity)`` stands in for the attempt number,
-    so a site armed with ``times=1`` faults once and then behaves.
+    A pure function of the plan — correct across worker processes,
+    which start with fresh module state — so the same job faults on
+    every run while the plan is armed.
+    """
+    plan = get_plan()
+    return plan is not None and plan.decide(site, identity)
+
+
+def fire(site: str, identity: str = "") -> bool:
+    """Should write-side *site* fault now?
+
+    A per-process occurrence counter for ``(site, identity)`` feeds the
+    decision, so a site armed with ``times=1`` faults once and then
+    behaves.
     """
     plan = get_plan()
     if plan is None:
         return False
-    if attempt is not None:
-        return plan.decide(site, identity, attempt)
     key = (site, str(identity))
     occurrence = _occurrences.get(key, 0)
     if not plan.decide(site, identity, occurrence):
@@ -215,10 +214,9 @@ def fire(site: str, identity: str = "", attempt: int | None = None) -> bool:
 # Site helpers (each one line at its call site).
 
 
-def crash_point(identity: str, attempt: int | None = None,
-                allow_exit: bool = False) -> None:
+def crash_point(identity: str, allow_exit: bool = False) -> None:
     """``crash`` site: kill this process (worker) or raise (serial)."""
-    if not fire("crash", identity, attempt):
+    if not job_fault("crash", identity):
         return
     if allow_exit:
         os._exit(CRASH_EXIT_CODE)
@@ -227,16 +225,9 @@ def crash_point(identity: str, attempt: int | None = None,
     )
 
 
-def hang_point(identity: str, attempt: int | None = None) -> None:
-    """``hang`` site: sleep far past any sane job wall-clock budget."""
-    plan = get_plan()
-    if plan is not None and fire("hang", identity, attempt):
-        time.sleep(plan.hang_seconds)
-
-
-def interrupt_point(identity: str, attempt: int | None = None) -> None:
+def interrupt_point(identity: str) -> None:
     """``interrupt`` site: simulate Ctrl-C landing mid-sweep."""
-    if fire("interrupt", identity, attempt):
+    if job_fault("interrupt", identity):
         raise KeyboardInterrupt("injected mid-sweep interrupt")
 
 

@@ -31,10 +31,7 @@ def chaos_seed():
 def _isolated_chaos_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "traces"))
-    for knob in (
-        "REPRO_FAULTS", "REPRO_JOB_TIMEOUT", "REPRO_JOB_RETRIES",
-        "REPRO_MANIFEST",
-    ):
+    for knob in ("REPRO_FAULTS", "REPRO_MANIFEST"):
         monkeypatch.delenv(knob, raising=False)
     faults.reset()
     clear_trace_memo()

@@ -3,11 +3,13 @@
 Each test arms exactly one fault site through ``REPRO_FAULTS``, runs a
 real sweep, and asserts two things: the run converges to the
 *fault-free* result (bitwise, where the fault allows it), and the
-recovery left the expected observability trail — retry/timeout/repair
-counters a production run would alarm on. The differential oracle
-cross-checks every recovered sweep against a replay of its traces.
-Without retries, a job-level fault must stay in the slot of the job it
-hit and leave every other slot of the sweep untouched.
+recovery left the expected observability trail — the error, repair and
+refused-write counts a production run would alarm on. The differential
+oracle cross-checks every recovered sweep against a replay of its
+traces. Every job gets one attempt, so a job-level fault must stay in
+the slot of the job it hit, leave every other slot of the sweep
+untouched, and a re-run with the plan disarmed must execute only the
+holes.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from repro.core.config import (
     use_based_config,
 )
 from repro.frontend.fetch import branch_plan_for
+from repro.obs.manifest import read_manifest
 from repro.testing import faults, oracle
 from repro.workloads.suite import (
     clear_trace_memo,
@@ -44,52 +47,10 @@ def _jobs():
     ]
 
 
-def _fault_free_baseline():
-    engine = ExperimentEngine(workers=1, use_cache=False)
-    return [stats.to_dict() for stats in engine.run(_jobs())]
-
-
 def _assert_oracle_clean(results):
     traces = {name: load_trace(name, scale=SCALE) for name in NAMES}
     by_name = dict(zip(NAMES, results))
     assert oracle.check_results(traces, by_name) == {}
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_crashed_worker_is_retried_to_success(
-    chaos_seed, monkeypatch, workers,
-):
-    """Every first attempt dies (os._exit in pool workers); the retry
-    round gets a fresh pool and converges to the fault-free results."""
-    baseline = _fault_free_baseline()
-    monkeypatch.setenv(
-        "REPRO_FAULTS", f"crash=1.0,times=1,seed={chaos_seed}",
-    )
-    engine = ExperimentEngine(workers=workers, use_cache=False, retries=2)
-    results = engine.run(_jobs())
-    assert [stats.to_dict() for stats in results] == baseline
-    assert engine.counters.retries >= len(NAMES)
-    assert engine.counters.errors == 0  # nothing failed *finally*
-    _assert_oracle_clean(results)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_hung_job_times_out_and_recovers(chaos_seed, monkeypatch, workers):
-    """A wedged job is cut off by its wall-clock budget and retried."""
-    baseline = _fault_free_baseline()
-    monkeypatch.setenv(
-        "REPRO_FAULTS",
-        f"hang=1.0,times=1,hang_seconds=30,seed={chaos_seed}",
-    )
-    engine = ExperimentEngine(
-        workers=workers, use_cache=False, job_timeout=0.5, retries=1,
-    )
-    results = engine.run(_jobs())
-    assert [stats.to_dict() for stats in results] == baseline
-    assert engine.counters.timeouts == len(NAMES)
-    assert engine.counters.retries == len(NAMES)
-    assert engine.counters.errors == 0
-    _assert_oracle_clean(results)
 
 
 def test_corrupt_result_cache_entry_repaired(
@@ -125,8 +86,8 @@ def test_truncated_trace_cache_entry_repaired_and_counted(
     chaos_seed, monkeypatch,
 ):
     """A truncated packed trace triggers the repair path: regenerate,
-    bump ``trace_cache_repairs``, and report it in the engine's
-    counters."""
+    bump ``trace_cache_repairs``, and report it in the manifest's
+    ``run`` record."""
     repairs_before = trace_counters().repairs
     monkeypatch.setenv(
         "REPRO_FAULTS", f"truncate_trace=1.0,times=1,seed={chaos_seed}",
@@ -137,7 +98,7 @@ def test_truncated_trace_cache_entry_repaired_and_counted(
     engine = ExperimentEngine(workers=1, use_cache=False)
     engine.run(_jobs()[:1])  # warming reads the unreadable entry
     assert trace_counters().repairs == repairs_before + 1
-    assert engine.counters.snapshot()["trace_cache_repairs"] == 1
+    assert read_manifest(engine.manifest.path)[-1]["trace_cache_repairs"] == 1
     second = load_trace("compress", scale=SCALE)
     assert len(second.records) == len(first.records)
 
@@ -168,7 +129,7 @@ def test_manifest_enospc_never_fails_the_run(
 # every figure's grid.
 
 #: What each job-level fault site leaves in its slot.
-SITE_KINDS = {"crash": "crash", "hang": "timeout", "bad_stats": "invalid"}
+SITE_KINDS = {"crash": "crash", "bad_stats": "invalid"}
 
 
 def _sweep_jobs():
@@ -184,9 +145,9 @@ def _sweep_jobs():
 
 def _spec_hitting_some(site, chaos_seed, jobs):
     """A fault spec for *site* that hits some but not all of *jobs*,
-    on every attempt, and which jobs it hits."""
+    and which jobs it hits."""
     for seed in itertools.count(chaos_seed):
-        spec = f"{site}=0.5,times=9,hang_seconds=30,seed={seed}"
+        spec = f"{site}=0.5,seed={seed}"
         plan = faults.parse_plan(spec)
         hit = [plan.decide(site, job.fault_identity()) for job in jobs]
         if any(hit) and not all(hit):
@@ -207,10 +168,7 @@ def test_sweep_fault_stays_in_its_own_slot(
     plan = branch_plan_for(trace)
     spec, hit = _spec_hitting_some(site, chaos_seed, jobs)
     monkeypatch.setenv("REPRO_FAULTS", spec)
-    engine = ExperimentEngine(
-        workers=workers, use_cache=False, retries=0,
-        job_timeout=0.5 if site == "hang" else 0.0,
-    )
+    engine = ExperimentEngine(workers=workers, use_cache=False)
     results = engine.run(jobs, raise_on_error=False)
     for slot, was_hit, expected in zip(results, hit, baseline):
         if was_hit:
@@ -221,3 +179,41 @@ def test_sweep_fault_stays_in_its_own_slot(
     assert engine.counters.errors == sum(hit)
     assert jobs[0].resolve_trace() is trace
     assert branch_plan_for(trace) is plan
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rerun_after_crash_executes_only_the_holes(
+    chaos_seed, tmp_path, monkeypatch, workers,
+):
+    """A crash leaves a ``crash`` hole in each slot it hits and caches
+    every other result; once the plan is disarmed, a re-run on the same
+    cache executes only the holes and converges to the fault-free
+    results."""
+    jobs = _sweep_jobs()
+    baseline = [
+        stats.to_dict()
+        for stats in ExperimentEngine(workers=1, use_cache=False).run(jobs)
+    ]
+    spec, hit = _spec_hitting_some("crash", chaos_seed, jobs)
+    cache = tmp_path / "rcache"
+    monkeypatch.setenv("REPRO_FAULTS", spec)
+    first = ExperimentEngine(workers=workers, cache_dir=cache)
+    results = first.run(jobs, raise_on_error=False)
+    for job, slot, was_hit, expected in zip(jobs, results, hit, baseline):
+        if was_hit:
+            assert isinstance(slot, JobFailure)
+            assert slot.kind == "crash"
+            assert first._cache_load(job) is None
+        else:
+            assert slot.to_dict() == expected
+            assert first._cache_load(job).to_dict() == expected
+
+    monkeypatch.delenv("REPRO_FAULTS")
+    faults.reset()
+    second = ExperimentEngine(workers=workers, cache_dir=cache)
+    rerun = second.run(jobs)
+    assert second.counters.executed == sum(hit)
+    assert [stats.to_dict() for stats in rerun] == baseline
+    trace = load_trace("compress", scale=SCALE)
+    for stats in rerun:
+        assert oracle.check_run(trace, stats) == []

@@ -44,7 +44,7 @@ def _probe_seed(site, identities, start):
             seed=seed, rates=faults.MappingProxyType({site: 0.5}),
         )
         fires = [
-            plan.decide(site, identity, attempt=0)
+            plan.decide(site, identity)
             for identity in identities
         ]
         if not fires[0] and any(fires):
@@ -94,7 +94,7 @@ def test_invalid_results_degrade_to_partial_experiment(
     monkeypatch.setenv(
         "REPRO_FAULTS", f"bad_stats=0.5,times=1,seed={seed}",
     )
-    configure(workers=1, cache_dir=tmp_path / "rcache", retries=0)
+    configure(workers=1, cache_dir=tmp_path / "rcache")
     try:
         result = experiments.fig1_lifetimes()
         failures = result.meta["failures"]

@@ -9,8 +9,6 @@ captured per job.
 
 import json
 import os
-import signal
-import time
 
 import pytest
 
@@ -180,16 +178,51 @@ def test_counters_flow_into_experiment_meta(tmp_path, monkeypatch):
 
 
 def test_counters_since_reports_deltas():
-    counters = EngineCounters(jobs=5, executed=3, job_seconds=1.5,
-                              max_job_seconds=0.9)
+    counters = EngineCounters()
+    for wall in (0.2, 0.9, 0.4):
+        counters.record_job(wall)
+    counters.jobs = 5
     before = counters.snapshot()
+    assert before["max_job_seconds"] == 0.9
     counters.jobs += 2
     counters.cache_hits += 2
     delta = counters.since(before)
     assert delta["jobs"] == 2
     assert delta["cache_hits"] == 2
     assert delta["executed"] == 0
-    assert delta["max_job_seconds"] == 0.9  # running max, not a delta
+    # Nothing ran since the snapshot: no earlier job's wall shows.
+    assert delta["max_job_seconds"] == 0
+    assert delta["job_seconds_p95"] == 0
+    counters.record_job(0.1)
+    delta = counters.since(before)
+    assert delta["executed"] == 1
+    assert delta["max_job_seconds"] == delta["job_seconds_p95"] == 0.1
+
+
+def test_later_experiment_reports_only_its_own_job_walls(
+    tmp_path, monkeypatch,
+):
+    """fig10 re-reads fig9's cached results: its engine note must not
+    carry fig9's job wall-clocks."""
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    monkeypatch.setenv("REPRO_SUITE", "short")
+    from repro.analysis import experiments
+    from repro.analysis.engine import configure
+    from repro.analysis.report import render
+
+    configure(workers=1, cache_dir=tmp_path)
+    try:
+        fig9 = experiments.fig9_bandwidth()
+        fig10 = experiments.fig10_filtering()
+    finally:
+        configure()
+    assert fig9.meta["engine"]["executed"] > 0
+    assert fig9.meta["engine"]["job_seconds_p95"] > 0
+    meta = fig10.meta["engine"]
+    assert meta["executed"] == 0 and meta["cache_hits"] == meta["jobs"] > 0
+    assert meta["max_job_seconds"] == 0
+    assert meta["job_seconds_p50"] == meta["job_seconds_p95"] == 0
+    assert "job p95" not in render(fig10)
 
 
 class _CorruptingPipeline:
@@ -234,7 +267,7 @@ def test_invalid_result_rejected_and_never_cached(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", ["invalid", "error"])
 def test_deterministic_failures_are_not_retried(tmp_path, monkeypatch, kind):
     """A job that fails the same way every time gets one attempt only."""
-    engine = ExperimentEngine(workers=1, cache_dir=tmp_path, retries=2)
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
     if kind == "invalid":
         monkeypatch.setattr(engine_mod, "Pipeline", _CorruptingPipeline)
         config = use_based_config()
@@ -244,58 +277,7 @@ def test_deterministic_failures_are_not_retried(tmp_path, monkeypatch, kind):
     failure = engine.run([job], raise_on_error=False)[0]
     assert isinstance(failure, JobFailure)
     assert failure.kind == kind
-    assert engine.counters.retries == 0
     assert engine.counters.executed == 1
-
-
-class _SleepyPipeline:
-    """Blocks long past any test-sized job timeout."""
-
-    def __init__(self, trace, config):
-        del trace, config
-
-    def run(self):  # pragma: no cover - interrupted by SIGALRM
-        time.sleep(30)
-
-
-@pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
-                    reason="needs SIGALRM timeouts")
-def test_job_timeout_enforced_and_retried_serially(tmp_path, monkeypatch):
-    engine = ExperimentEngine(
-        workers=1, cache_dir=tmp_path, job_timeout=0.2, retries=1,
-    )
-    job = SimJob(config=use_based_config(), trace_name="compress",
-                 scale=SCALE)
-
-    monkeypatch.setattr(engine_mod, "Pipeline", _SleepyPipeline)
-    failure = engine.run([job], raise_on_error=False)[0]
-    assert isinstance(failure, JobFailure)
-    assert failure.kind == "timeout"
-    assert "wall-clock budget" in failure.error
-    # Initial attempt + one retry, both cut off by the alarm.
-    assert engine.counters.timeouts == 2
-    assert engine.counters.retries == 1
-    assert engine._cache_load(job) is None
-
-    # A retry that recovers yields real stats and no failure slot.
-    calls = {"n": 0}
-
-    class FlakyPipeline:
-        def __init__(self, trace, config):
-            self._inner = Pipeline(trace, config)
-
-        def run(self):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                time.sleep(30)  # pragma: no cover - alarm interrupts
-            return self._inner.run()
-
-    monkeypatch.setattr(engine_mod, "Pipeline", FlakyPipeline)
-    stats = engine.run([job])[0]
-    assert stats.retired > 0
-    assert calls["n"] == 2
-    assert engine.counters.timeouts == 3
-    assert engine.counters.retries == 2
 
 
 def test_resume_accounts_for_previously_completed_jobs(tmp_path):
@@ -392,8 +374,6 @@ def test_duplicates_execute_every_slot_without_cache():
 
 
 @pytest.mark.parametrize("knob, value", [
-    ("REPRO_JOB_TIMEOUT", "1O"),
-    ("REPRO_JOB_RETRIES", "two"),
     ("REPRO_JOBS", "fuor"),
 ])
 def test_numeric_knob_typo_raises(monkeypatch, tmp_path, knob, value):
@@ -403,14 +383,10 @@ def test_numeric_knob_typo_raises(monkeypatch, tmp_path, knob, value):
 
 
 def test_numeric_knobs_unset_zero_and_auto(monkeypatch, tmp_path):
-    for knob in ("REPRO_JOBS", "REPRO_JOB_TIMEOUT", "REPRO_JOB_RETRIES"):
-        monkeypatch.delenv(knob, raising=False)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
     engine = ExperimentEngine(cache_dir=tmp_path)
-    assert (engine.workers, engine.job_timeout, engine.retries) == (1, 0, 0)
-    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0")
-    monkeypatch.setenv("REPRO_JOB_RETRIES", "0")
+    assert engine.workers == 1
     for jobs in ("0", "auto"):
         monkeypatch.setenv("REPRO_JOBS", jobs)
         engine = ExperimentEngine(cache_dir=tmp_path)
         assert engine.workers == (os.cpu_count() or 1)
-        assert (engine.job_timeout, engine.retries) == (0, 0)

@@ -138,17 +138,19 @@ def test_engine_second_run_avoids_all_vm_execution(trace_cache, tmp_path):
         SimJob(config=use_based_config(), trace_name=name, scale=SCALE)
         for name in ("compress", "pointer_chase")
     ]
-    first = ExperimentEngine(workers=1, cache_dir=tmp_path / "r1")
-    first.run(jobs)
-    assert first.counters.traces_generated == 2
-    assert first.counters.trace_gen_seconds > 0
+    before = suite.trace_counters().snapshot()
+    ExperimentEngine(workers=1, cache_dir=tmp_path / "r1").run(jobs)
+    first = suite.trace_counters().since(before)
+    assert first["traces_generated"] == 2
+    assert first["trace_gen_seconds"] > 0
 
     clear_trace_memo()  # model a cold worker pool
-    second = ExperimentEngine(workers=1, cache_dir=tmp_path / "r2")
-    second.run(jobs)
-    assert second.counters.traces_generated == 0
-    assert second.counters.traces_loaded == 2
-    assert second.counters.trace_load_seconds > 0
+    before = suite.trace_counters().snapshot()
+    ExperimentEngine(workers=1, cache_dir=tmp_path / "r2").run(jobs)
+    second = suite.trace_counters().since(before)
+    assert second["traces_generated"] == 0
+    assert second["traces_loaded"] == 2
+    assert second["trace_load_seconds"] > 0
 
 
 def test_engine_counters_reach_experiment_meta(trace_cache, tmp_path,

@@ -23,16 +23,15 @@ class TestParsePlan:
     def test_rates_only_spec(self):
         plan = faults.parse_plan("crash=0.5")
         assert plan.rate("crash") == 0.5
-        assert plan.rate("hang") == 0.0
+        assert plan.rate("bad_stats") == 0.0
         assert plan.seed == 0 and plan.times == 1
 
     def test_full_spec_with_semicolons(self):
         plan = faults.parse_plan(
-            "seed=7; times=2; hang_seconds=12.5; crash=1.0; enospc=0.25"
+            "seed=7; times=2; crash=1.0; enospc=0.25"
         )
         assert plan.seed == 7
         assert plan.times == 2
-        assert plan.hang_seconds == 12.5
         assert plan.rate("crash") == 1.0
         assert plan.rate("enospc") == 0.25
 
@@ -77,17 +76,17 @@ class TestDecide:
 
     def test_rate_one_always_fires_within_times(self):
         plan = faults.FaultPlan(
-            times=2, rates=faults.MappingProxyType({"hang": 1.0}),
+            times=2, rates=faults.MappingProxyType({"corrupt_cache": 1.0}),
         )
-        assert plan.decide("hang", "x", attempt=0)
-        assert plan.decide("hang", "x", attempt=1)
-        assert not plan.decide("hang", "x", attempt=2)
+        assert plan.decide("corrupt_cache", "x", occurrence=0)
+        assert plan.decide("corrupt_cache", "x", occurrence=1)
+        assert not plan.decide("corrupt_cache", "x", occurrence=2)
 
     def test_rate_zero_never_fires(self):
         plan = faults.FaultPlan(
-            rates=faults.MappingProxyType({"hang": 1.0}),
+            rates=faults.MappingProxyType({"bad_stats": 1.0}),
         )
-        assert not plan.decide("crash", "x", attempt=0)
+        assert not plan.decide("crash", "x")
 
 
 class TestGetPlan:
@@ -100,9 +99,9 @@ class TestGetPlan:
         first = faults.get_plan()
         assert first is not None and faults.enabled()
         assert faults.get_plan() is first
-        monkeypatch.setenv("REPRO_FAULTS", "hang=1.0")
+        monkeypatch.setenv("REPRO_FAULTS", "bad_stats=1.0")
         second = faults.get_plan()
-        assert second is not first and second.rate("hang") == 1.0
+        assert second is not first and second.rate("bad_stats") == 1.0
 
     def test_malformed_env_warns_once_and_disables(self, monkeypatch, caplog):
         import logging
@@ -136,26 +135,26 @@ class TestFire:
         # A different identity has its own counter.
         assert faults.fire("corrupt_cache", "other")
 
-    def test_explicit_attempt_does_not_consume(self, monkeypatch):
+    def test_job_fault_does_not_consume(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash=1.0,times=1")
-        assert faults.fire("crash", "job", attempt=0)
-        assert faults.fire("crash", "job", attempt=0)  # pure, re-askable
-        assert not faults.fire("crash", "job", attempt=1)
+        assert faults.job_fault("crash", "job")
+        assert faults.job_fault("crash", "job")  # pure, re-askable
 
     def test_disabled_never_fires(self):
-        assert not faults.fire("crash", "job", attempt=0)
+        assert not faults.fire("corrupt_cache", "entry")
+        assert not faults.job_fault("crash", "job")
 
 
 class TestSiteHelpers:
     def test_crash_point_raises_in_process(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash=1.0")
         with pytest.raises(faults.InjectedFault):
-            faults.crash_point("job", attempt=0, allow_exit=False)
+            faults.crash_point("job", allow_exit=False)
 
     def test_interrupt_point_raises_keyboard_interrupt(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "interrupt=1.0")
         with pytest.raises(KeyboardInterrupt):
-            faults.interrupt_point("job", attempt=0)
+            faults.interrupt_point("job")
 
     def test_enospc_point_raises_enospc(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "enospc=1.0")
