@@ -15,10 +15,18 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   provenance ``(kernel, scale, seed)``. Figures that share baseline
   configs (fig7/fig8/fig11/table2 all re-run the ``preg``/``monolithic``
   variants) hit the cache instead of re-simulating, and any edit to the
-  simulator code automatically invalidates stale entries. Within one
-  :meth:`ExperimentEngine.run` call each distinct key is looked up once
-  and executed at most once; a repeated key's later slots take the
-  first slot's outcome and count as cache hits.
+  simulator code automatically invalidates stale entries.
+* **Decoded once per engine** — every result the engine loads from
+  disk, or executes and validates, enters an in-process table keyed by
+  its cache key, so each key is read and decoded at most once per
+  engine (figures that share configs get them from memory). Entries are
+  content-addressed and never rewritten with other content, so the
+  table cannot go stale; a file corrupted after this engine decoded it
+  is caught by the next process's load. Within one
+  :meth:`ExperimentEngine.run` call a missing key executes at most
+  once; its later slots take the first slot's outcome. A table hit is a
+  cache hit in every counter and manifest record. Failures never enter
+  the table, so a hole re-executes on the next run.
 * **One attempt per job** — jobs are deterministic simulations, so a
   failure would only repeat: every job runs once and its outcome is
   final. A runaway job stops inside the simulator
@@ -88,11 +96,7 @@ import time
 import traceback
 import uuid
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -403,6 +407,11 @@ class ExperimentEngine:
             cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
         self.cache_dir = Path(cache_dir)
         self.counters = EngineCounters()
+        #: Cache key -> result, for every result this engine loaded from
+        #: disk or executed and validated (``None`` without the cache).
+        #: Entries are content-addressed, so one never goes stale;
+        #: failures never enter, so a hole re-executes on the next run.
+        self._table: dict[str, SimStats] | None = {} if use_cache else None
         #: Every JobFailure this engine has returned (graceful-degradation
         #: consumers read the tail to report holes).
         self.failure_log: list[JobFailure] = []
@@ -422,8 +431,9 @@ class ExperimentEngine:
     ) -> list[SimStats | JobFailure]:
         """Execute *jobs*, returning results in job order.
 
-        Cached results are loaded without simulating; the remainder run
-        once each, serially or across a process pool. Every fresh
+        Cached results are served from the engine's table or loaded
+        from disk without simulating; the remainder run once each,
+        serially or across a process pool. Every fresh
         result is validated before it is cached. Results and manifest
         records are published incrementally as jobs finish, so
         re-running an interrupted or partly failed sweep executes only
@@ -444,35 +454,39 @@ class ExperimentEngine:
 
         prelude: list[dict] = []
         pending: list[int] = []
-        # One lookup, and at most one execution, per distinct key: a
-        # later slot with a key already seen in this call waits for the
-        # first slot's outcome (``first_slot`` maps key -> that slot).
-        first_slot: dict[str, int] = {}
+        # Each key is decoded from disk at most once per engine: the
+        # table serves every later slot and call. A key missing from
+        # disk executes once per call; its later slots in this call wait
+        # for that slot's outcome (``executing`` maps key -> the slot).
+        table = self._table
+        executing: dict[str, int] = {}
         waiting: list[tuple[int, int]] = []
         hits = 0
         for index, job in enumerate(jobs):
             key = keys[index]
-            if self.use_cache and key is not None:
-                first = first_slot.setdefault(key, index)
-                if first != index:
-                    if results[first] is None:
-                        waiting.append((index, first))
+            if table is not None and key is not None:
+                cached = table.get(key)
+                if cached is None:
+                    if key in executing:
+                        waiting.append((index, executing[key]))
                         continue
-                    cached = results[first]
-                else:
                     cached = self._cache_load(job, key=key)
-                if cached is not None:
-                    hits += 1
-                    results[index] = cached
-                    if self.manifest is not None:
-                        prelude.append(
-                            self._manifest_record(
-                                run_id, job, key, cached=True,
-                                status="ok", wall=0.0, worker=None,
-                            )
+                    if cached is None:
+                        executing[key] = index
+                        counters.cache_misses += 1
+                        pending.append(index)
+                        continue
+                    table[key] = cached
+                hits += 1
+                results[index] = cached
+                if self.manifest is not None:
+                    prelude.append(
+                        self._manifest_record(
+                            run_id, job, key, cached=True,
+                            status="ok", wall=0.0, worker=None,
                         )
-                    continue
-                counters.cache_misses += 1
+                    )
+                continue
             pending.append(index)
         counters.cache_hits += hits
 
@@ -509,7 +523,8 @@ class ExperimentEngine:
                     if problem is not None:
                         status, payload = "invalid", problem
                 if status == "ok":
-                    if self.use_cache and keys[index] is not None:
+                    if table is not None and keys[index] is not None:
+                        table[keys[index]] = payload
                         self._cache_store(job, payload, key=keys[index])
                     results[index] = payload
                     error = None
@@ -731,6 +746,10 @@ class ExperimentEngine:
         as a ``crash``: a crash costs the rest of the sweep its
         parallelism, not its results.
         """
+        # Imported here, not at module level: a serial process never
+        # loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         broken: list[int] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

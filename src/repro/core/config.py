@@ -224,10 +224,18 @@ class MachineConfig:
         """
         key = self.__dict__.get("_config_key")
         if key is None:
-            key = tuple(
-                (name, _normalize(getattr(self, name)))
-                for name in _FIELD_NAMES
-            )
+            # Most fields hold a value _normalize would return as it is;
+            # only the rest pay for the generic call.
+            items = []
+            for name, value in zip(_FIELD_NAMES, _field_values(self)):
+                kind = type(value)
+                if kind is int:
+                    if not -_EXACT_INT <= value <= _EXACT_INT:
+                        value = _normalize(value)
+                elif kind not in _PLAIN_TYPES:
+                    value = _normalize(value)
+                items.append((name, value))
+            key = tuple(items)
             object.__setattr__(self, "_config_key", key)
         return key
 
@@ -241,8 +249,15 @@ class MachineConfig:
         return digest
 
 
-#: Field names in :meth:`MachineConfig.config_key` order, sorted once.
+#: Field names in :meth:`MachineConfig.config_key` order, sorted once,
+#: and a getter returning their values as a tuple.
 _FIELD_NAMES = tuple(sorted(f.name for f in dataclasses.fields(MachineConfig)))
+_field_values = operator.attrgetter(*_FIELD_NAMES)
+
+#: Value types :func:`_normalize` returns unchanged, as are ints that a
+#: float holds exactly (its int -> float -> int trip could move others).
+_PLAIN_TYPES = frozenset({str, bool, type(None)})
+_EXACT_INT = 2**53
 
 #: The int-typed fields, and a getter returning their values as a tuple.
 _INT_FIELDS = tuple(

@@ -210,3 +210,32 @@ def test_tuning_defaults_runs_its_default_config_once(tmp_path, monkeypatch):
     fill_0 = next(row for row in result.rows if row[:2] == ["fill", 0])
     assert unknown_1[2] == fill_0[2] > 0
     assert engine.counters.executed == 48
+
+
+def test_fig2_reuses_the_lifetime_logs_fig1_decoded(tmp_path, monkeypatch):
+    """fig1 and fig2 share one config, so on a filled cache the pair
+    reads and decodes each of the 8 lifetime-carrying results once."""
+    from repro.analysis.engine import ExperimentEngine, configure
+
+    monkeypatch.setenv("REPRO_SUITE", "full")
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    configure(workers=1, cache_dir=tmp_path)
+    try:
+        EXPERIMENTS["fig1"]()  # fill the cache
+        loads: list[str] = []
+        real = ExperimentEngine._cache_load
+
+        def counted(self, job, key=None):
+            loads.append(key)
+            return real(self, job, key=key)
+
+        monkeypatch.setattr(ExperimentEngine, "_cache_load", counted)
+        engine = configure(workers=1, cache_dir=tmp_path)
+        fig1 = EXPERIMENTS["fig1"]()
+        fig2 = EXPERIMENTS["fig2"]()
+    finally:
+        configure()
+    assert len(loads) == len(set(loads)) == 8
+    assert engine.counters.executed == 0
+    assert fig1.meta["engine"]["cache_hits"] == 8
+    assert fig2.meta["engine"]["cache_hits"] == 8

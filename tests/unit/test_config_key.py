@@ -8,6 +8,7 @@ from repro.core.config import (
     MachineConfig,
     lru_config,
     monolithic_config,
+    two_level_config,
     use_based_config,
 )
 from repro.isa.opcodes import OpClass
@@ -74,6 +75,37 @@ def test_config_hash_shape_and_stability():
     assert len(digest) == 64
     int(digest, 16)  # valid hex
     assert digest == config.config_hash()  # deterministic
+
+
+@pytest.mark.parametrize("factory, digest", [
+    (use_based_config,
+     "29bc5a3091579ed8a1bdb54bc864d034586a13e170ad00b5e79e5aa6d6b7d5be"),
+    (lru_config,
+     "e94e0275686bf743bd11e3744b6b872f9cbd9ccff092be6552351d25fe71036a"),
+    (lambda: monolithic_config(3),
+     "055ff2f344a872cfd2e8c42c52ab0f09d0c72cd47aebcc80ccfd028764b81edc"),
+    (two_level_config,
+     "581bedd19e29a46dd8a1e0b093fe132649840e68b8e5167a19c75256841c3437"),
+])
+def test_named_config_hashes_are_pinned(factory, digest):
+    """Every cached result is filed under these digests: a change to
+    config keying that moves one must be deliberate (and bump
+    ``CACHE_SCHEMA_VERSION``), never a side effect."""
+    assert factory().config_hash() == digest
+
+
+def test_plain_field_fast_path_matches_generic_normalization():
+    """config_key skips ``_normalize`` for plain values; the key must be
+    the one the generic path gives, floats and huge ints included."""
+    from repro.core.config import _FIELD_NAMES, _normalize
+
+    config = use_based_config(
+        wrongpath_use_noise=0.25, max_cycles=2**53 + 1, rf_write_latency=None,
+    )
+    generic = tuple(
+        (name, _normalize(getattr(config, name))) for name in _FIELD_NAMES
+    )
+    assert json.dumps(config.config_key()) == json.dumps(generic)
 
 
 def test_config_key_is_json_serializable():

@@ -107,18 +107,16 @@ class TestGetPlan:
         import logging
 
         monkeypatch.setenv("REPRO_FAULTS", "bogus=1.0")
-        # The repro logger does not propagate to the root logger, so
-        # attach caplog's handler to it directly.
-        logger = logging.getLogger("repro")
-        logger.addHandler(caplog.handler)
-        try:
-            # (earlier tests may have left the level at ERROR)
-            with caplog.at_level("WARNING", logger="repro"):
-                assert faults.get_plan() is None
-                # Memoized as disabled; asking again must not warn twice.
-                assert faults.get_plan() is None
-        finally:
-            logger.removeHandler(caplog.handler)
+        # Once configured, the repro logger stops propagating to the
+        # root logger, where caplog listens. Make it propagate for this
+        # test, whichever tests ran before, so each record reaches
+        # caplog exactly once.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        # (earlier tests may have left the level at ERROR)
+        with caplog.at_level("WARNING", logger="repro"):
+            assert faults.get_plan() is None
+            # Memoized as disabled; asking again must not warn twice.
+            assert faults.get_plan() is None
         assert sum(
             "malformed REPRO_FAULTS" in record.message
             for record in caplog.records
