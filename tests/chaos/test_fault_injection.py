@@ -76,9 +76,12 @@ def test_corrupt_result_cache_entry_repaired(
     assert second.to_dict() == first.to_dict()
     assert second_engine.counters.executed == 1  # re-simulated, not served
 
-    third = second_engine.run([job])[0]
+    # The healed entry loads in the next process (a fresh engine).
+    third_engine = ExperimentEngine(workers=1, cache_dir=cache)
+    third = third_engine.run([job])[0]
     assert third.to_dict() == first.to_dict()
-    assert second_engine.counters.cache_hits == 1  # entry healed
+    assert third_engine.counters.cache_hits == 1  # entry healed
+    assert third_engine.counters.executed == 0
     assert json.loads(path.read_text())["stats"]["cycles"] == first.cycles
 
 
