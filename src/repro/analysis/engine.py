@@ -92,6 +92,7 @@ import itertools
 import json
 import os
 import pickle
+import sys
 import time
 import traceback
 import uuid
@@ -101,10 +102,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import MachineConfig
-from repro.core.pipeline import Pipeline
 from repro.core.stats import STATS_SCHEMA_VERSION, SimStats
 from repro.errors import EngineError
-from repro.frontend.fetch import branch_plan_for
 from repro.obs.log import ProgressReporter, get_logger
 from repro.obs.manifest import (
     ManifestWriter,
@@ -116,6 +115,24 @@ from repro.vm.trace import Trace
 from repro.workloads.suite import load_trace, trace_counters, warm_trace_cache
 
 _log = get_logger("engine")
+
+#: This module, through which jobs reach the lazily loaded timing core.
+_engine = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    # ``Pipeline`` and ``branch_plan_for`` load on first use, so a run
+    # served from the result cache never imports the timing core. Bound
+    # once loaded, they stay plain module attributes that tests and
+    # perfbench rebind.
+    if name == "Pipeline":
+        from repro.core.pipeline import Pipeline as value
+    elif name == "branch_plan_for":
+        from repro.frontend.fetch import branch_plan_for as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 #: Monotonic discriminator so concurrent same-process cache writers
 #: (threads) never collide on a tmp-file name.
@@ -288,8 +305,8 @@ def _execute_job(
         trace = job.resolve_trace()
         # Memoized on the trace: the prediction pass is a step of its
         # own, not a hidden part of Pipeline construction.
-        branch_plan_for(trace)
-        stats = Pipeline(trace, job.config).run()
+        _engine.branch_plan_for(trace)
+        stats = _engine.Pipeline(trace, job.config).run()
         if faults.job_fault("bad_stats", identity):
             stats.retired = -stats.retired - 1
         return ("ok", stats, time.perf_counter() - start, pid)
@@ -750,6 +767,10 @@ class ExperimentEngine:
         # loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
+        # Load the timing core before the pool forks, so forked workers
+        # inherit it instead of each compiling it.
+        for name in ("Pipeline", "branch_plan_for"):
+            getattr(_engine, name)
         broken: list[int] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

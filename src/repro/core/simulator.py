@@ -12,7 +12,6 @@ import math
 from collections.abc import Iterable
 
 from repro.core.config import MachineConfig
-from repro.core.pipeline import Pipeline
 from repro.core.stats import SimStats
 from repro.vm.trace import Trace
 from repro.workloads.suite import DEFAULT_SUITE, load_trace
@@ -26,6 +25,8 @@ def simulate(trace: Trace, config: MachineConfig | None = None) -> SimStats:
         config: machine configuration; defaults to the paper's use-based
             64-entry 2-way register cache machine.
     """
+    from repro.core.pipeline import Pipeline
+
     config = config or MachineConfig()
     return Pipeline(trace, config).run()
 

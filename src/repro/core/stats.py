@@ -5,7 +5,9 @@ analysis layer, so it must travel well: across process boundaries (the
 parallel experiment engine pickles results back from its workers) and
 onto disk (the content-addressed result cache stores JSON). Both paths
 use the compact :meth:`SimStats.to_dict` form; :meth:`SimStats.from_dict`
-reverses it exactly.
+reverses it exactly. The register-cache record :class:`CacheStats` and
+its miss-cause labels live here too, so a process that only decodes
+results loads none of the timing model.
 
 The lifetime log has one form everywhere: a flat ``list[int]`` with four
 ints per physical-register allocation, ``alloc, write, last_read,
@@ -30,11 +32,137 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.regfile.register_cache import CacheStats
-
 #: Bump when the serialized form of :class:`SimStats` changes shape, so
 #: the engine's on-disk result cache invalidates stale entries.
 STATS_SCHEMA_VERSION = 2
+
+#: Miss-cause labels used in the statistics (Figure 8 taxonomy).
+MISS_FILTERED = "filtered"
+MISS_CONFLICT = "conflict"
+MISS_CAPACITY = "capacity"
+MISS_COLD = "cold"
+
+
+@dataclass
+class CacheStats:
+    """Aggregate register-cache statistics.
+
+    Attributes mirror the paper's reported metrics; see Figures 8-10 and
+    Table 2.
+    """
+
+    reads: int = 0
+    hits: int = 0
+    misses: dict[str, int] = field(default_factory=lambda: {
+        MISS_FILTERED: 0, MISS_CONFLICT: 0, MISS_CAPACITY: 0, MISS_COLD: 0,
+    })
+    writes_initial: int = 0
+    writes_fill: int = 0
+    writes_filtered: int = 0
+    evictions: int = 0
+    evictions_with_uses: int = 0
+    zero_use_victims: int = 0
+    invalidations: int = 0
+    instances_cached: int = 0
+    instances_never_read: int = 0
+    lifetime_sum: int = 0
+    lifetime_count: int = 0
+    values_freed: int = 0
+    values_never_cached: int = 0
+    occupancy_integral: int = 0
+
+    @property
+    def miss_count(self) -> int:
+        """Total misses across all causes."""
+        return sum(self.misses.values())
+
+    @property
+    def miss_rate(self) -> float:
+        """Per-operand miss rate (misses / cache reads)."""
+        return self.miss_count / self.reads if self.reads else 0.0
+
+    @property
+    def reads_per_cached_value(self) -> float:
+        """Average reads satisfied per cached instance (Table 2 row 1)."""
+        if not self.instances_cached:
+            return 0.0
+        return self.hits / self.instances_cached
+
+    @property
+    def cache_count(self) -> float:
+        """Average times each produced value was cached (Table 2 row 2)."""
+        if not self.values_freed:
+            return 0.0
+        return self.instances_cached / self.values_freed
+
+    @property
+    def never_read_fraction(self) -> float:
+        """Fraction of cached instances never read (Figure 10, left)."""
+        if not self.instances_cached:
+            return 0.0
+        return self.instances_never_read / self.instances_cached
+
+    @property
+    def filtered_write_fraction(self) -> float:
+        """Fraction of initial writes filtered (Figure 10, middle)."""
+        total = self.writes_initial + self.writes_filtered
+        return self.writes_filtered / total if total else 0.0
+
+    @property
+    def never_cached_fraction(self) -> float:
+        """Fraction of produced values never cached (Figure 10, right)."""
+        if not self.values_freed:
+            return 0.0
+        return self.values_never_cached / self.values_freed
+
+    def average_occupancy(self, cycles: int) -> float:
+        """Time-averaged number of valid entries (Table 2 row 3)."""
+        return self.occupancy_integral / cycles if cycles else 0.0
+
+    @property
+    def average_lifetime(self) -> float:
+        """Average cycles between entry write and departure (Table 2)."""
+        if not self.lifetime_count:
+            return 0.0
+        return self.lifetime_sum / self.lifetime_count
+
+    def to_dict(self) -> dict:
+        """Plain-data form (ints and a str-keyed dict), JSON-safe."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "misses"
+        }
+        out["misses"] = dict(self.misses)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CacheStats":
+        """Inverse of :meth:`to_dict`."""
+        data = dict(data)
+        data["misses"] = dict(data.get("misses", {}))
+        return cls(**data)
+
+    @classmethod
+    def merge(cls, parts: "list[CacheStats]") -> "CacheStats":
+        """Sum several cache-stat records (suite-level aggregation).
+
+        Every counter adds, including per-cause miss counts, so derived
+        rates on the merged record are traffic-weighted means.
+        """
+        merged = cls()
+        for part in parts:
+            for spec in dataclasses.fields(cls):
+                if spec.name == "misses":
+                    continue
+                setattr(
+                    merged, spec.name,
+                    getattr(merged, spec.name) + getattr(part, spec.name),
+                )
+            for cause, count in part.misses.items():
+                merged.misses[cause] = merged.misses.get(cause, 0) + count
+        return merged
+
 
 
 @dataclass

@@ -1,25 +1,1 @@
 """Synthetic RISC ISA: opcodes, instructions, programs, and an assembler."""
-
-from repro.isa.assembler import assemble
-from repro.isa.instruction import (
-    LINK_REG,
-    NUM_ARCH_REGS,
-    ZERO_REG,
-    Instruction,
-)
-from repro.isa.opcodes import CLASS_LATENCY, OpClass, Opcode, OpcodeSpec, spec_for
-from repro.isa.program import Program
-
-__all__ = [
-    "CLASS_LATENCY",
-    "LINK_REG",
-    "NUM_ARCH_REGS",
-    "ZERO_REG",
-    "Instruction",
-    "OpClass",
-    "Opcode",
-    "OpcodeSpec",
-    "Program",
-    "assemble",
-    "spec_for",
-]

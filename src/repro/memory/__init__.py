@@ -1,19 +1,1 @@
 """Memory hierarchy models: caches, store buffer, prefetching."""
-
-from repro.memory.cache import MemoryCache
-from repro.memory.hierarchy import (
-    L1_LINE_WORDS,
-    L2_LINE_WORDS,
-    HierarchyConfig,
-    MemoryHierarchy,
-)
-from repro.memory.store_buffer import StoreBuffer
-
-__all__ = [
-    "HierarchyConfig",
-    "L1_LINE_WORDS",
-    "L2_LINE_WORDS",
-    "MemoryCache",
-    "MemoryHierarchy",
-    "StoreBuffer",
-]

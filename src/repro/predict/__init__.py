@@ -1,5 +1,1 @@
 """Value-degree-of-use prediction."""
-
-from repro.predict.degree_of_use import FCF_BITS, DegreeOfUsePredictor, compute_fcf
-
-__all__ = ["DegreeOfUsePredictor", "FCF_BITS", "compute_fcf"]

@@ -1,24 +1,1 @@
 """Functional execution: VM, dynamic-trace representation, trace factory."""
-
-from repro.vm.machine import Machine, run_program
-from repro.vm.trace import (
-    DynamicInst,
-    Trace,
-    TraceAnalysis,
-    compute_fcf,
-    pack_trace,
-    static_meta,
-    unpack_trace,
-)
-
-__all__ = [
-    "DynamicInst",
-    "Machine",
-    "Trace",
-    "TraceAnalysis",
-    "compute_fcf",
-    "pack_trace",
-    "run_program",
-    "static_meta",
-    "unpack_trace",
-]

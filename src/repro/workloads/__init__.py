@@ -1,31 +1,1 @@
 """Workload generation: SPECint-like kernels and statistical traces."""
-
-from repro.workloads.kernels import KERNELS
-from repro.workloads.suite import (
-    DEFAULT_SUITE,
-    SHORT_SUITE,
-    benchmark_names,
-    build_program,
-    load_suite,
-    load_trace,
-)
-from repro.workloads.synthetic import (
-    SyntheticSpec,
-    generate,
-    high_use_trace,
-    single_use_trace,
-)
-
-__all__ = [
-    "DEFAULT_SUITE",
-    "KERNELS",
-    "SHORT_SUITE",
-    "SyntheticSpec",
-    "benchmark_names",
-    "build_program",
-    "generate",
-    "high_use_trace",
-    "load_suite",
-    "load_trace",
-    "single_use_trace",
-]

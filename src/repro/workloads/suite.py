@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,11 +36,26 @@ from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.obs.log import get_logger
 from repro.testing import faults
-from repro.vm.machine import run_program
 from repro.vm.trace import Trace, pack_trace, unpack_trace
 from repro.workloads.kernels import KERNELS
 
 _log = get_logger("suite")
+
+#: This module, through which a trace miss reaches the lazily loaded VM.
+_suite = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    # The VM loads on the first trace this process generates, so a run
+    # whose traces all come from the disk cache never imports it. Bound
+    # once loaded, ``run_program`` stays a module attribute perfbench
+    # rebinds.
+    if name == "run_program":
+        from repro.vm.machine import run_program
+
+        globals()[name] = run_program
+        return run_program
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Default suite used by the experiment harness (the eight primary
 #: kernels; ``bitpack`` and ``tree_walk`` are extra workloads available
@@ -245,7 +261,7 @@ def _memo_trace(name: str, scale: float, seed: int | None) -> Trace:
             trace.provenance = (name, scale, seed)
             return trace
     started = time.perf_counter()
-    trace = run_program(program)
+    trace = _suite.run_program(program)
     _counters.generated += 1
     _counters.gen_seconds += time.perf_counter() - started
     trace.provenance = (name, scale, seed)
