@@ -473,12 +473,15 @@ class Pipeline:
             self.stats.branch_mispredicts += 1
             self._release_wrongpath()
             if self.two_level is not None:
-                extra = self.two_level.on_mispredict(
-                    now, self.config.front_depth
-                )
+                front_depth = self.config.front_depth
+                extra = self.two_level.on_mispredict(now, front_depth)
                 if extra:
+                    # extra is net of the refill: the first refetched op
+                    # reaches dispatch at now + 1 + front_depth, and the
+                    # restores hold it until now + 1 + transfer.
                     self._dispatch_blocked_until = max(
-                        self._dispatch_blocked_until, now + extra
+                        self._dispatch_blocked_until,
+                        now + 1 + front_depth + extra,
                     )
 
     # ------------------------------------------------------------------

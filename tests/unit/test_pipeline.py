@@ -300,6 +300,53 @@ def test_two_level_runs_clean_with_headroom():
     assert stats.cache is None
 
 
+TWO_LEVEL_LOOP = "\n".join(
+    ["    addi r1, r0, 6", "loop:"]
+    + [f"    addi r{i}, r{i}, 1" for i in range(2, 20)]
+    + ["    addi r1, r1, -1", "    bne  r1, r0, loop",
+       "    addi r3, r0, 7", "    halt"]
+)
+
+
+@pytest.mark.parametrize("l2_latency", [1, 2, 10, 30])
+def test_two_level_recovery_holds_dispatch_for_restores(l2_latency):
+    """After a mispredict, the first refetched op dispatches once both
+    the front-end refill and the L2->L1 restores are done: at
+    ``resolve + 1 + max(front_depth, transfer)``."""
+    config = two_level_config(
+        cache_entries=8, two_level_l1_extra=24,
+        two_level_l2_latency=l2_latency, record_timing=True,
+        model_memory=False, model_icache=False, predictor_enabled=False,
+    )
+    pipeline = Pipeline(run_program(assemble(TWO_LEVEL_LOOP)), config)
+    two_level = pipeline.two_level
+    recoveries = []
+    on_mispredict = two_level.on_mispredict
+
+    def recording(resolve, refill):
+        before = two_level.restores
+        extra = on_mispredict(resolve, refill)
+        recoveries.append((resolve, two_level.restores - before))
+        return extra
+
+    two_level.on_mispredict = recording
+    pipeline.run()
+
+    assert recoveries
+    for resolve, restores in recoveries:
+        assert restores > 0  # the loop exit squashes moved values
+        transfer = l2_latency + -(-restores // config.two_level_bandwidth)
+        branch = next(
+            op for op in pipeline.issue_log.values()
+            if op.mispredicted and op.exec_end + 1 == resolve
+        )
+        first = pipeline.issue_log[branch.seq + 1]
+        if transfer > config.front_depth:
+            assert first.alloc_time == resolve + 1 + transfer
+        else:
+            assert first.alloc_time == resolve + 1 + config.front_depth
+
+
 def test_load_miss_discovered_before_dependents_issue():
     """Regression: with a deep read stage (R=4) the D-cache probe must
     still precede the earliest dependent issue slot, or dependents
