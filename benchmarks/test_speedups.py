@@ -12,6 +12,7 @@ suite does not collect this directory. ``REPRO_SCALE`` (default 0.2)
 sets the trace length.
 """
 
+import gc
 import os
 import time
 
@@ -49,6 +50,9 @@ def _grid_jobs():
 
 
 def _timed(fn):
+    # Collect first, so garbage left by an earlier test or pass is not
+    # collected inside this timed pass.
+    gc.collect()
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
