@@ -60,7 +60,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(module), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
