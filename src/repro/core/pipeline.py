@@ -312,7 +312,6 @@ class Pipeline:
         # dispatch stall plus a two-level rename stall.
         dispatch_wake = 0
         dispatch_stall = 0
-        blocked_until = 0
         retired = 0
         while retired < total:
             if cycle >= max_cycles:
@@ -334,8 +333,11 @@ class Pipeline:
                     process_writebacks(writebacks, cycle)
                 if resolves is not None:
                     process_resolves(resolves, cycle)
-                    blocked_until = self._dispatch_blocked_until
-                    dispatch_wake = 0
+                    # A resolve wakes dispatch, unless a two-level
+                    # recovery holds it; _process_resolves counts that
+                    # stall, so the slept cycles count nothing.
+                    dispatch_wake = self._dispatch_blocked_until
+                    dispatch_stall = 0
             if rob:
                 head = rob[0]
                 if head.status == _ISSUED \
@@ -351,9 +353,7 @@ class Pipeline:
                             _push(events, cycle + 1, _READY, op)
                 elif group and issue(group, cycle) and dispatch_stall:
                     dispatch_wake = 0
-            if cycle < blocked_until:
-                stats.rename_stall_cycles += 1
-            elif cycle >= dispatch_wake:
+            if cycle >= dispatch_wake:
                 dispatch_wake, dispatch_stall = dispatch(cycle)
             elif dispatch_stall:
                 stats.dispatch_stall_cycles += 1
@@ -478,7 +478,9 @@ class Pipeline:
                 if extra:
                     # extra is net of the refill: the first refetched op
                     # reaches dispatch at now + 1 + front_depth, and the
-                    # restores hold it until now + 1 + transfer.
+                    # restores hold it until now + 1 + transfer. Only
+                    # the extra cycles are rename stalls.
+                    self.stats.rename_stall_cycles += extra
                     self._dispatch_blocked_until = max(
                         self._dispatch_blocked_until,
                         now + 1 + front_depth + extra,

@@ -312,7 +312,8 @@ TWO_LEVEL_LOOP = "\n".join(
 def test_two_level_recovery_holds_dispatch_for_restores(l2_latency):
     """After a mispredict, the first refetched op dispatches once both
     the front-end refill and the L2->L1 restores are done: at
-    ``resolve + 1 + max(front_depth, transfer)``."""
+    ``resolve + 1 + max(front_depth, transfer)``. Only the cycles the
+    restores add beyond the refill count as rename stalls."""
     config = two_level_config(
         cache_entries=8, two_level_l1_extra=24,
         two_level_l2_latency=l2_latency, record_timing=True,
@@ -330,9 +331,10 @@ def test_two_level_recovery_holds_dispatch_for_restores(l2_latency):
         return extra
 
     two_level.on_mispredict = recording
-    pipeline.run()
+    stats = pipeline.run()
 
     assert recoveries
+    excess = 0
     for resolve, restores in recoveries:
         assert restores > 0  # the loop exit squashes moved values
         transfer = l2_latency + -(-restores // config.two_level_bandwidth)
@@ -345,6 +347,9 @@ def test_two_level_recovery_holds_dispatch_for_restores(l2_latency):
             assert first.alloc_time == resolve + 1 + transfer
         else:
             assert first.alloc_time == resolve + 1 + config.front_depth
+        excess += max(0, transfer - config.front_depth)
+    assert stats.tl_recovery_stalls == excess
+    assert stats.rename_stall_cycles == two_level.rename_stall_cycles + excess
 
 
 def test_load_miss_discovered_before_dependents_issue():
