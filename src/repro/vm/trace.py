@@ -18,7 +18,9 @@ the VM, the workload suite, and the experiment engine:
   configuration that simulates it.
 * :func:`pack_trace` / :func:`unpack_trace` — a compact packed
   serialization of the committed record stream (plus its analysis) for
-  the on-disk trace cache in :mod:`repro.workloads.suite`.
+  the on-disk trace cache in :mod:`repro.workloads.suite`, which hands
+  out cached traces undecoded (:meth:`Trace.deferred`) until a job
+  reads their records.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import pickle
 import sys
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.isa.instruction import NUM_ARCH_REGS, Instruction
 from repro.isa.opcodes import OpClass
@@ -296,10 +298,15 @@ class Trace:
     program it came from plus lazily cached summary statistics. Traces
     are immutable after construction; the cached :meth:`analysis` never
     needs invalidation.
+
+    A trace made by :meth:`deferred` knows its length up front and
+    decodes its records (and its analysis) on first use: reading
+    :attr:`records`, iterating, indexing or calling :meth:`analysis`.
     """
 
     def __init__(self, records: Iterable[DynamicInst], name: str = "") -> None:
-        self.records: list[DynamicInst] = list(records)
+        self._records: list[DynamicInst] | None = list(records)
+        self._length = len(self._records)
         self.name = name
         #: ``(kernel_name, scale, seed)`` when the trace came from the
         #: benchmark-suite registry, else ``None``. Provenance lets the
@@ -308,9 +315,47 @@ class Trace:
         #: the record list itself.
         self.provenance: tuple[str, float, int | None] | None = None
         self._analysis: TraceAnalysis | None = None
+        self._decode: Callable[[], Trace] | None = None
+
+    @classmethod
+    def deferred(
+        cls, length: int, decode: Callable[[], "Trace"], name: str = ""
+    ) -> "Trace":
+        """A trace of *length* records that *decode* builds on first use.
+
+        *decode* returns an eager trace whose records and analysis this
+        one adopts. The trace pickles when *decode* does, as a
+        ``functools.partial`` of a module-level function does.
+        """
+        trace = cls((), name)
+        trace._records = None
+        trace._length = length
+        trace._decode = decode
+        return trace
+
+    @property
+    def records(self) -> list[DynamicInst]:
+        """The committed records, decoded first if this trace is deferred."""
+        records = self._records
+        if records is None:
+            records = self._materialize()
+        return records
+
+    def _materialize(self) -> list[DynamicInst]:
+        source = self._decode()
+        self._records = records = source.records
+        self._length = len(records)
+        self._analysis = source._analysis
+        self._decode = None
+        return records
+
+    @property
+    def decoded(self) -> bool:
+        """Whether the records exist yet (always, unless :meth:`deferred`)."""
+        return self._records is not None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._length
 
     def __iter__(self) -> Iterator[DynamicInst]:
         return iter(self.records)
@@ -320,6 +365,8 @@ class Trace:
 
     def analysis(self) -> TraceAnalysis:
         """The trace's :class:`TraceAnalysis`, computed once and cached."""
+        if self._records is None:
+            self._materialize()  # restores the packed analysis too
         result = self._analysis
         if result is None:
             result = self._analysis = TraceAnalysis.compute(self)
@@ -359,8 +406,10 @@ class Trace:
 # branch target (branch records), memory address (memory records), and
 # result value (writing records) — as raw little/big-native int64
 # sections. Static metadata is reconstructed from the (deterministically
-# re-assembled) program at load time via :func:`static_meta`, so the
+# re-assembled) program at decode time via :func:`static_meta`, so the
 # format stays compact and loading never re-executes the VM.
+# :func:`packed_length` checks only the header, for callers that defer
+# the decode (:meth:`Trace.deferred`).
 
 
 def pack_trace(trace: Trace, analysis: TraceAnalysis | None = None) -> bytes:
@@ -442,13 +491,11 @@ def _restore_analysis(blob: dict, n: int) -> TraceAnalysis:
     )
 
 
-def unpack_trace(data: bytes, program: Program) -> Trace:
-    """Reconstruct a trace serialized by :func:`pack_trace`.
+def _checked_payload(data: bytes) -> dict:
+    """Unpickle a packed trace and check its header.
 
-    *program* must be the same program that produced the trace (the
-    caller guarantees this by keying cache entries on a fingerprint of
-    the kernel/ISA/VM sources). Any structural inconsistency raises
-    ``ValueError`` so callers treat the blob as corrupt and regenerate.
+    Raises ``ValueError`` unless the magic, version and byte order match
+    this build and the record count is a non-negative int.
     """
     try:
         payload = pickle.loads(data)
@@ -461,9 +508,31 @@ def unpack_trace(data: bytes, program: Program) -> Trace:
         or payload.get("byteorder") != sys.byteorder
     ):
         raise ValueError("unrecognized trace blob header")
+    n = payload.get("n")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("bad record count")
+    return payload
+
+
+def packed_length(data: bytes) -> int:
+    """The record count of a :func:`pack_trace` blob, after checking
+    its header (``ValueError`` if bad); nothing else is decoded, so a
+    corrupt section surfaces only in :func:`unpack_trace`."""
+    return _checked_payload(data)["n"]
+
+
+def unpack_trace(data: bytes, program: Program) -> Trace:
+    """Reconstruct a trace serialized by :func:`pack_trace`.
+
+    *program* must be the same program that produced the trace (the
+    caller guarantees this by keying cache entries on a fingerprint of
+    the kernel/ISA/VM sources). Any structural inconsistency raises
+    ``ValueError`` so callers treat the blob as corrupt and regenerate.
+    """
+    payload = _checked_payload(data)
     n = payload["n"]
-    taken = payload["taken"]
-    if not isinstance(n, int) or not isinstance(taken, bytes) or len(taken) != n:
+    taken = payload.get("taken")
+    if not isinstance(taken, bytes) or len(taken) != n:
         raise ValueError("taken section length mismatch")
     pcs = _int64s(payload["pcs"], n)
     targets = _int64s(payload["targets"])
