@@ -38,9 +38,15 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   execute only the holes.
 * **Validation before caching** — every freshly executed result must
   pass the differential oracle's conservation invariants
-  (:func:`repro.testing.oracle.validate_stats`) and a serialization
-  round-trip *before* it is returned or written to the result cache,
-  so a half-unwound worker can never publish a corrupted result.
+  (:func:`repro.testing.oracle.validate_stats`), and the JSON text of
+  its cache entry must decode back to an equal result, *before* it is
+  returned or written to the result cache; that validated text is
+  what the cache stores. A half-unwound worker can never publish a
+  corrupted result, nor can a value that JSON would change.
+* **One entry form** — a cache entry is the JSON array ``[key, row]``,
+  ``row`` being :meth:`~repro.core.stats.SimStats.to_row`: decoded by
+  position, checked for shape, never keyed by field name. The manifest's
+  job records map each key to its trace and config.
 * **Incremental publication** — results are cached and manifest
   records written as jobs finish, so re-running a sweep killed by
   SIGINT or a crash executes only the jobs whose results are not yet
@@ -140,7 +146,7 @@ _tmp_counter = itertools.count()
 
 #: Bump to invalidate every cached result regardless of code changes
 #: (e.g. when the cache file layout or the job-key layout changes).
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 _code_fingerprint_memo: str | None = None
 
@@ -535,13 +541,13 @@ class ExperimentEngine:
                 status, payload, wall, worker = outcome
                 counters.record_job(wall)
                 if status == "ok":
-                    problem = self._validate_result(payload)
+                    entry, problem = self._validate_result(payload, keys[index])
                     if problem is not None:
                         status, payload = "invalid", problem
                 if status == "ok":
                     if table is not None and keys[index] is not None:
                         table[keys[index]] = payload
-                        self._cache_store(job, payload, key=keys[index])
+                        self._cache_store(keys[index], entry)
                     results[index] = payload
                     error = None
                 else:
@@ -657,26 +663,34 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     # Execution strategies.
 
-    def _validate_result(self, stats: object) -> str | None:
-        """Reject a result the oracle or the serializer cannot vouch for.
+    def _validate_result(
+        self, stats: object, key: str | None,
+    ) -> tuple[str | None, str | None]:
+        """Reject a result the oracle or the result cache cannot vouch for.
 
         Runs on every freshly executed result *before* it is cached or
         returned — the fix for results that used to be published even
-        when post-processing later raised.
+        when post-processing later raised. Returns ``(entry, problem)``,
+        exactly one of them ``None``: *entry* is the cache entry's JSON
+        text, already decoded here and found equal to *stats*, which
+        :meth:`_cache_store` writes as it is.
         """
         if not isinstance(stats, SimStats):
-            return f"worker returned {type(stats).__name__}, not SimStats"
+            return None, f"worker returned {type(stats).__name__}, not SimStats"
         violations = oracle.validate_stats(stats)
         if violations:
-            return "result failed invariants: " + "; ".join(violations)
+            return None, "result failed invariants: " + "; ".join(violations)
         try:
-            SimStats.from_dict(stats.to_dict())
+            entry = _encode_entry(key, stats)
+            changed = _decode_entry(entry, key) != stats
         except Exception:
-            return (
+            return None, (
                 "result failed serialization round-trip:\n"
                 + traceback.format_exc()
             )
-        return None
+        if changed:
+            return None, "result changed in its JSON round-trip"
+        return entry, None
 
     def _execute_pending(
         self,
@@ -785,7 +799,8 @@ class ExperimentEngine:
 
     def _cache_load(self, job: SimJob, key: str | None = None) -> \
             SimStats | None:
-        """Load a cached result; any corruption or staleness is a miss.
+        """Load a cached result; any corruption, staleness or entry of
+        another shape is a miss.
 
         The path is a plain string and the file is read in one binary
         ``open``: on a warm run this read is most of the engine's time.
@@ -797,34 +812,14 @@ class ExperimentEngine:
         )
         try:
             with open(path, "rb") as handle:
-                data = json.loads(handle.read())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(data, dict) or data.get("key") != key:
-            return None
-        try:
-            return SimStats.from_dict(data["stats"])
-        except (KeyError, TypeError, ValueError):
+                return _decode_entry(handle.read(), key)
+        except (OSError, TypeError, ValueError):
             return None
 
-    def _cache_store(
-        self, job: SimJob, stats: SimStats, key: str | None = None,
-    ) -> None:
-        if key is None:
-            key = job.cache_key()
+    def _cache_store(self, key: str, text: str) -> None:
+        """Publish *text*, the entry :meth:`_validate_result` checked,
+        as the cached result for *key*."""
         path = self._cache_path(key)
-        payload = {
-            "key": key,
-            "job": {
-                "trace": job.trace_name,
-                "scale": float(job.scale),
-                "seed": job.seed,
-                "scheme": job.config.storage,
-                "config_hash": job.config.config_hash(),
-            },
-            "stats": stats.to_dict(),
-        }
-        text = json.dumps(payload)
         if faults.enabled():
             text = faults.corrupt_text("corrupt_cache", key, text)
         # The tmp name must be unique per writer — pid separates
@@ -844,6 +839,26 @@ class ExperimentEngine:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
+
+
+def _encode_entry(key: str | None, stats: SimStats) -> str:
+    """The result-cache entry for *stats* under *key*: ``[key, row]``."""
+    return json.dumps([key, stats.to_row()])
+
+
+def _decode_entry(text: str | bytes, key: str | None) -> SimStats:
+    """Inverse of :func:`_encode_entry`.
+
+    Raises ``ValueError`` or ``TypeError`` on text that is not JSON, an
+    entry of another shape, a key other than *key*, or a row
+    :meth:`SimStats.from_row` rejects.
+    """
+    data = json.loads(text)
+    if type(data) is not list or len(data) != 2:
+        raise ValueError("a result entry is a [key, row] pair")
+    if data[0] != key:
+        raise ValueError(f"entry is keyed {data[0]!r}, not {key!r}")
+    return SimStats.from_row(data[1])
 
 
 # ----------------------------------------------------------------------

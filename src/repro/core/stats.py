@@ -4,23 +4,28 @@
 analysis layer, so it must travel well: across process boundaries (the
 parallel experiment engine pickles results back from its workers) and
 onto disk (the content-addressed result cache stores JSON). Both paths
-use the compact :meth:`SimStats.to_dict` form; :meth:`SimStats.from_dict`
-reverses it exactly. The register-cache record :class:`CacheStats` and
-its miss-cause labels live here too, so a process that only decodes
-results loads none of the timing model.
+use the positional :meth:`SimStats.to_row` form: the fields in dataclass
+order, the :class:`CacheStats` record nested as its own row with its
+miss counts in :data:`MISS_CAUSES` order, and the lifetime log as its
+flat int list. :meth:`SimStats.from_row` reverses it exactly and
+rejects a row of any other shape, so a stale or damaged entry can never
+decode with defaults standing in for missing fields. The register-cache
+record and its miss-cause labels live here too, so a process that only
+decodes results loads none of the timing model.
 
 The lifetime log has one form everywhere: a flat ``list[int]`` with four
 ints per physical-register allocation, ``alloc, write, last_read,
-free``. The pipeline appends to it, ``to_dict`` emits a copy of it, and
+free``. The pipeline appends to it, ``to_row`` emits a copy of it, and
 the analyses in :mod:`repro.core.lifetimes` read its columns
 (``log[0::4]`` ...) directly, so no per-allocation object is built on
 any path.
 
-``to_dict()`` is also the repo's *equality surface*: an engine sweep
+``to_dict()`` is the repo's readable *equality surface*: an engine sweep
 must return ``to_dict()``-equal payloads to direct ``Pipeline`` runs of
 the same (trace, config), and ``tests/golden/simstats.json`` pins
 hashes of it for a grid of kernels and schemes, so any refactor of the
-timing loop must reproduce every field here bit for bit.
+timing loop must reproduce every field here bit for bit. It is the row
+form with field names attached.
 
 The lifetime log is opt-in (``MachineConfig.record_lifetimes``). A run
 that did not record it has ``lifetimes = None`` — serialized as
@@ -31,16 +36,29 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-#: Bump when the serialized form of :class:`SimStats` changes shape, so
-#: the engine's on-disk result cache invalidates stale entries.
-STATS_SCHEMA_VERSION = 2
+#: Bump when the serialized form of :class:`SimStats` changes shape (a
+#: field added, removed or reordered, or the miss-cause order), so the
+#: engine's on-disk result cache invalidates stale entries.
+STATS_SCHEMA_VERSION = 3
 
 #: Miss-cause labels used in the statistics (Figure 8 taxonomy).
 MISS_FILTERED = "filtered"
 MISS_CONFLICT = "conflict"
 MISS_CAPACITY = "capacity"
 MISS_COLD = "cold"
+
+#: Miss causes in the order a serialized row lists their counts.
+MISS_CAUSES = (MISS_FILTERED, MISS_CONFLICT, MISS_CAPACITY, MISS_COLD)
+
+
+def _check_row(row: object, width: int, what: str) -> None:
+    """Raise unless *row* is a list of exactly *width* items."""
+    if type(row) is not list:
+        raise TypeError(f"{what} row is {type(row).__name__}, not list")
+    if len(row) != width:
+        raise ValueError(f"{what} row has {len(row)} fields, not {width}")
 
 
 @dataclass
@@ -126,14 +144,30 @@ class CacheStats:
             return 0.0
         return self.lifetime_sum / self.lifetime_count
 
+    def to_row(self) -> list:
+        """Positional form: the fields in dataclass order, with the miss
+        counts as a list in :data:`MISS_CAUSES` order."""
+        row = list(_cache_fields(self))
+        misses = self.misses
+        row[_MISSES_INDEX] = [misses[cause] for cause in MISS_CAUSES]
+        if len(misses) != len(MISS_CAUSES):
+            raise ValueError(f"unknown miss causes in {sorted(misses)}")
+        return row
+
+    @classmethod
+    def from_row(cls, row: list) -> "CacheStats":
+        """Inverse of :meth:`to_row`; raises on a row of another shape."""
+        _check_row(row, _CACHE_WIDTH, "CacheStats")
+        cache = cls(*row)
+        misses = cache.misses
+        _check_row(misses, len(MISS_CAUSES), "misses")
+        cache.misses = dict(zip(MISS_CAUSES, misses))
+        return cache
+
     def to_dict(self) -> dict:
         """Plain-data form (ints and a str-keyed dict), JSON-safe."""
-        out = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name != "misses"
-        }
-        out["misses"] = dict(self.misses)
+        out = dict(zip(_CACHE_NAMES, self.to_row()))
+        out["misses"] = dict(zip(MISS_CAUSES, out["misses"]))
         return out
 
     @classmethod
@@ -163,6 +197,11 @@ class CacheStats:
                 merged.misses[cause] = merged.misses.get(cause, 0) + count
         return merged
 
+
+_CACHE_NAMES = tuple(spec.name for spec in dataclasses.fields(CacheStats))
+_CACHE_WIDTH = len(_CACHE_NAMES)
+_MISSES_INDEX = _CACHE_NAMES.index("misses")
+_cache_fields = attrgetter(*_CACHE_NAMES)
 
 
 @dataclass
@@ -329,27 +368,53 @@ class SimStats:
     # ------------------------------------------------------------------
     # Serialization (process boundaries and the on-disk result cache).
 
-    def to_dict(self, include_lifetimes: bool = True) -> dict:
-        """Compact plain-data form, exactly invertible by :meth:`from_dict`.
+    def to_row(self) -> list:
+        """Positional form, exactly invertible by :meth:`from_row`.
 
-        Scalar counters are copied as-is; the cache sub-record becomes a
-        plain dict; the lifetime log, already one flat int array, is
-        copied so the dict never aliases the live log; an unrecorded log
-        stays ``None``. Pass ``include_lifetimes=False`` to drop the log
-        entirely when the consumer only needs the counters.
+        The fields in dataclass order: scalar counters as-is, the cache
+        sub-record as its own row (:meth:`CacheStats.to_row`) or
+        ``None``, and the lifetime log, already one flat int array,
+        copied so the row never aliases the live log; an unrecorded log
+        stays ``None``. JSON-safe as long as every counter is an int.
         """
-        out = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name not in ("cache", "lifetimes")
-        }
-        out["cache"] = None if self.cache is None else self.cache.to_dict()
-        if not include_lifetimes:
-            out["lifetimes"] = []
-        elif self.lifetimes is None:
-            out["lifetimes"] = None
-        else:
-            out["lifetimes"] = list(self.lifetimes)
+        row = list(_simstats_fields(self))
+        if self.cache is not None:
+            row[_CACHE_INDEX] = self.cache.to_row()
+        if self.lifetimes is not None:
+            row[_LIFETIMES_INDEX] = list(self.lifetimes)
+        return row
+
+    @classmethod
+    def from_row(cls, row: list) -> "SimStats":
+        """Inverse of :meth:`to_row`.
+
+        Raises ``TypeError`` or ``ValueError`` unless *row*, its cache
+        row and its miss counts have exactly the fields
+        :meth:`to_row` writes: positional construction would otherwise
+        fill missing trailing fields with their defaults. The lifetime
+        log is kept as given, not copied: it is already the flat array
+        :class:`SimStats` holds.
+        """
+        _check_row(row, _SIMSTATS_WIDTH, "SimStats")
+        stats = cls(*row)
+        if stats.cache is not None:
+            stats.cache = CacheStats.from_row(stats.cache)
+        lifetimes = stats.lifetimes
+        if lifetimes is not None and type(lifetimes) is not list:
+            raise TypeError(
+                f"lifetimes is {type(lifetimes).__name__}, not list"
+            )
+        return stats
+
+    def to_dict(self) -> dict:
+        """Readable form: :meth:`to_row` keyed by field name.
+
+        The cache sub-record becomes a plain dict (its miss counts a
+        cause-keyed dict); an unrecorded lifetime log stays ``None``.
+        """
+        out = dict(zip(_SIMSTATS_NAMES, self.to_row()))
+        if self.cache is not None:
+            out["cache"] = self.cache.to_dict()
         return out
 
     @classmethod
@@ -365,11 +430,18 @@ class SimStats:
         return cls(**data)
 
     def __reduce__(self):
-        # Pickle via the compact dict form: plain data only, the same
-        # form the result cache stores.
-        return (_simstats_from_dict, (self.to_dict(),))
+        # Pickle via the row form: plain data only, the same form the
+        # result cache stores.
+        return (_simstats_from_row, (self.to_row(),))
 
 
-def _simstats_from_dict(data: dict) -> SimStats:
+_SIMSTATS_NAMES = tuple(spec.name for spec in dataclasses.fields(SimStats))
+_SIMSTATS_WIDTH = len(_SIMSTATS_NAMES)
+_CACHE_INDEX = _SIMSTATS_NAMES.index("cache")
+_LIFETIMES_INDEX = _SIMSTATS_NAMES.index("lifetimes")
+_simstats_fields = attrgetter(*_SIMSTATS_NAMES)
+
+
+def _simstats_from_row(row: list) -> SimStats:
     """Module-level unpickling hook for :meth:`SimStats.__reduce__`."""
-    return SimStats.from_dict(data)
+    return SimStats.from_row(row)

@@ -132,7 +132,7 @@ def read_manifest(path: str | os.PathLike) -> list[dict]:
 
 
 def summarize_manifest(records: list[dict]) -> dict:
-    """Roll a manifest up into the gate's flat summary form.
+    """Roll a manifest up into one flat summary dict.
 
     Returns job counts, cache hit/miss totals, failure records, and
     wall-clock aggregates (total / p50 / p95) for the executed jobs.

@@ -33,6 +33,7 @@ from repro.workloads.suite import (
     load_trace,
     trace_counters,
 )
+from tests.result_entries import read_entry
 
 pytestmark = pytest.mark.chaos
 
@@ -82,7 +83,7 @@ def test_corrupt_result_cache_entry_repaired(
     assert third.to_dict() == first.to_dict()
     assert third_engine.counters.cache_hits == 1  # entry healed
     assert third_engine.counters.executed == 0
-    assert json.loads(path.read_text())["stats"]["cycles"] == first.cycles
+    assert read_entry(path)[1].cycles == first.cycles
 
 
 def test_truncated_trace_cache_entry_repaired_and_counted(

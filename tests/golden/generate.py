@@ -1,11 +1,11 @@
 """Golden ``SimStats`` hashes: the timing model's recorded behaviour.
 
 ``tests/golden/simstats.json`` pins, for every case below, a SHA-256 of
-the run's counters (``SimStats.to_dict(include_lifetimes=False)`` minus
-the lifetime field) and, for ``use_based`` runs, a SHA-256 of the flat
-lifetime log. Refactors of the timing loop must reproduce every hash;
-a change that is meant to alter simulated behaviour regenerates the
-file and says so.
+the run's counters (``SimStats.to_dict()`` minus the lifetime field)
+and, for ``use_based`` runs, a SHA-256 of the flat lifetime log.
+Refactors of the timing loop must reproduce every hash; a change that
+is meant to alter simulated behaviour regenerates the file and says
+so.
 
 Regenerate with::
 
@@ -49,7 +49,7 @@ def _digest(payload) -> str:
 
 def counters_digest(stats: SimStats) -> str:
     """Hash of every counter of *stats*, lifetime log excluded."""
-    data = stats.to_dict(include_lifetimes=False)
+    data = stats.to_dict()
     data.pop("lifetimes")
     return _digest(data)
 

@@ -25,9 +25,11 @@ from repro.core.config import (
     use_based_config,
 )
 from repro.core.pipeline import Pipeline
+from repro.core.stats import SimStats
 from repro.errors import EngineError
 from repro.obs.manifest import read_manifest
 from repro.workloads.suite import load_trace
+from tests.result_entries import read_entry
 
 SCALE = 0.06
 TRACES = ("compress", "pointer_chase", "hash_dict")
@@ -105,7 +107,7 @@ def test_corrupted_cache_entry_detected_and_resimulated(tmp_path):
     assert again.to_dict() == first.to_dict()
     assert fresh.counters.executed == 1
     assert engine.counters.executed + fresh.counters.executed == 2
-    assert json.loads(path.read_text())["stats"]["cycles"] == first.cycles
+    assert read_entry(path)[1].cycles == first.cycles
 
 
 def test_stale_cache_key_mismatch_is_a_miss(tmp_path):
@@ -116,9 +118,8 @@ def test_stale_cache_key_mismatch_is_a_miss(tmp_path):
                  scale=SCALE)
     first = engine.run([job])[0]
     path = engine._cache_path(job.cache_key())
-    payload = json.loads(path.read_text())
-    payload["key"] = "0" * 64
-    path.write_text(json.dumps(payload))
+    _, stats = read_entry(path)
+    path.write_text(json.dumps(["0" * 64, stats.to_row()]))
     assert engine.run([job])[0] is first
     assert engine.counters.executed == 1
 
@@ -127,7 +128,76 @@ def test_stale_cache_key_mismatch_is_a_miss(tmp_path):
     assert again.to_dict() == first.to_dict()
     assert fresh.counters.executed == 1
     assert engine.counters.executed + fresh.counters.executed == 2
-    assert json.loads(path.read_text())["key"] == job.cache_key()
+    assert read_entry(path)[0] == job.cache_key()
+
+
+def _misshapen_entry(case, key, stats):
+    row = stats.to_row()
+    return {
+        "row one field short": [key, row[:-1]],
+        "row one field long": [key, row + [None]],
+        "old dict layout": {"key": key, "stats": stats.to_dict()},
+        "wrong key": ["0" * 64, row],
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "row one field short", "row one field long", "old dict layout",
+    "wrong key",
+])
+def test_misshapen_entry_is_a_miss_and_rewritten_as_a_row(tmp_path, case):
+    """An entry of any shape but ``[key, row]`` with the full row is
+    never served: the next process re-executes the job and rewrites
+    the entry as a row."""
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    job = SimJob(config=use_based_config(), trace_name="compress",
+                 scale=SCALE)
+    first = engine.run([job])[0]
+    key = job.cache_key()
+    path = engine._cache_path(key)
+    path.write_text(json.dumps(_misshapen_entry(case, key, first)))
+
+    fresh = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    assert fresh._cache_load(job) is None
+    again = fresh.run([job])[0]
+    assert fresh.counters.executed == 1
+    assert again.to_dict() == first.to_dict()
+    assert read_entry(path) == (key, first)
+
+
+def test_warm_pass_decodes_rows_only(tmp_path, monkeypatch):
+    """A cold pass encodes each executed result once; a warm pass in a
+    new engine decodes each entry by position: ``from_dict`` never
+    runs and no name-keyed dict is parsed."""
+    encodes = []
+    real_to_row = SimStats.to_row
+
+    def counted_to_row(stats):
+        encodes.append(stats)
+        return real_to_row(stats)
+
+    monkeypatch.setattr(SimStats, "to_row", counted_to_row)
+    cold = ExperimentEngine(workers=1, cache_dir=tmp_path).run(_grid_jobs())
+    assert len(encodes) == len(cold)
+
+    def refuse(cls, data):
+        raise AssertionError("from_dict called on a warm pass")
+
+    parsed = []
+    real_loads = json.loads
+
+    def spied_loads(text, *args, **kwargs):
+        value = real_loads(text, *args, **kwargs)
+        parsed.append(value)
+        return value
+
+    monkeypatch.setattr(SimStats, "from_dict", classmethod(refuse))
+    monkeypatch.setattr(json, "loads", spied_loads)
+    warm = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    assert _dicts(warm.run(_grid_jobs())) == _dicts(cold)
+    assert warm.counters.executed == 0
+    assert len(parsed) == len(cold)
+    assert all(type(entry) is list for entry in parsed)
 
 
 def test_code_fingerprint_feeds_cache_key(monkeypatch):
@@ -282,6 +352,33 @@ def test_invalid_result_rejected_and_never_cached(tmp_path, monkeypatch):
     assert stats and stats.retired > 0
     assert engine.counters.executed == 2
     assert engine._cache_load(job) is not None
+
+
+class _TupleLogPipeline:
+    """Runs the real pipeline, then holds the lifetime log as a tuple:
+    a value that passes the oracle but that JSON turns into a list."""
+
+    def __init__(self, trace, config):
+        self._inner = Pipeline(trace, config)
+
+    def run(self):
+        stats = self._inner.run()
+        stats.lifetimes = tuple(stats.lifetimes)
+        return stats
+
+
+def test_result_that_json_would_change_is_rejected(tmp_path, monkeypatch):
+    """Validation decodes the very text the cache would store, so a
+    result that would load back different is never cached."""
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    job = SimJob(config=use_based_config(record_lifetimes=True),
+                 trace_name="compress", scale=SCALE)
+    monkeypatch.setattr(engine_mod, "Pipeline", _TupleLogPipeline)
+    failure = engine.run([job], raise_on_error=False)[0]
+    assert isinstance(failure, JobFailure)
+    assert failure.kind == "invalid"
+    assert "JSON round-trip" in failure.error
+    assert engine._cache_load(job) is None
 
 
 @pytest.mark.parametrize("kind", ["invalid", "error"])

@@ -135,13 +135,15 @@ class TestConcurrentCacheWriters:
         )
         [stats] = engine.run([job])
         expected = stats.to_dict()
+        key = job.cache_key()
+        entry, _ = engine._validate_result(stats, key)
 
         errors: list[BaseException] = []
 
         def writer():
             try:
                 for _ in range(20):
-                    engine._cache_store(job, stats)
+                    engine._cache_store(key, entry)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
