@@ -155,8 +155,8 @@ def test_interpreter_vs_predecoded():
 def test_cold_vs_warm_trace_cache(tmp_path, monkeypatch):
     """Suite loading wall-clock: VM execution (cold) vs packed-trace
     deserialization (warm), through the real load_trace path."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_trace_memo()
 
     before = suite.trace_counters().snapshot()

@@ -78,24 +78,24 @@ Environment knobs (read when the shared engine is created):
 
 * ``REPRO_JOBS`` — worker count (``1``/unset = serial; ``0``/``auto``
   = one per CPU).
-* ``REPRO_CACHE`` — set to ``0`` to disable the on-disk result cache.
-* ``REPRO_CACHE_DIR`` — cache location (default ``.repro-cache``).
+* ``REPRO_CACHE`` — set to ``0`` to disable the on-disk result cache
+  and the trace factory's trace cache (see :mod:`repro.store`).
+* ``REPRO_CACHE_DIR`` — cache location (default ``.repro-cache``); the
+  trace cache lives in its ``traces/`` directory.
 * ``REPRO_FAULTS`` — arm the deterministic fault-injection plan (see
   :mod:`repro.testing.faults`); inert unless set.
 * ``REPRO_MANIFEST`` — ``0`` disables run manifests; a path overrides
   the default ``<cache_dir>/manifest.jsonl``.
 * ``REPRO_LOG_LEVEL`` — progress/diagnostic logging level (the engine
   logs at INFO).
-* ``REPRO_TRACE_CACHE`` / ``REPRO_TRACE_CACHE_DIR`` — the trace
-  factory's on-disk cache (see :mod:`repro.workloads.suite`). A
-  parallel run loads and decodes its jobs' traces before the pool
-  forks, so workers neither re-execute the VM nor decode.
+
+A parallel run loads and decodes its jobs' traces before the pool
+forks, so workers neither re-execute the VM nor decode.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -107,6 +107,7 @@ from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import store
 from repro.core.config import MachineConfig
 from repro.core.stats import STATS_SCHEMA_VERSION, SimStats
 from repro.errors import EngineError
@@ -140,42 +141,13 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
-#: Monotonic discriminator so concurrent same-process cache writers
-#: (threads) never collide on a tmp-file name.
-_tmp_counter = itertools.count()
-
 #: Bump to invalidate every cached result regardless of code changes
 #: (e.g. when the cache file layout or the job-key layout changes).
 CACHE_SCHEMA_VERSION = 3
 
-_code_fingerprint_memo: str | None = None
-
-
-def _code_fingerprint() -> str:
-    """Hash of every simulator source file that can affect a result.
-
-    The analysis layer (this package) is excluded: it only reports on
-    :class:`SimStats`, it never changes them. Everything else — pipeline,
-    register files, policies, predictor, ISA, VM, kernels — feeds the
-    cache key, so editing the simulator silently invalidates stale
-    results instead of serving them.
-    """
-    global _code_fingerprint_memo
-    if _code_fingerprint_memo is None:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            if rel.startswith("analysis/"):
-                continue
-            digest.update(rel.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(path.read_bytes())
-            digest.update(b"\x00")
-        _code_fingerprint_memo = digest.hexdigest()
-    return _code_fingerprint_memo
+#: Sources that cannot change a result (this package only reports on
+#: them); every other source's edit retires the cached results.
+_REPORTING_SOURCES = ("analysis",)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +230,8 @@ class SimJob:
         """
         payload = (
             f"{CACHE_SCHEMA_VERSION}:{STATS_SCHEMA_VERSION}"
-            f":{_code_fingerprint()}:{self.config.config_hash()}"
+            f":{store.fingerprint(exclude=_REPORTING_SOURCES)}"
+            f":{self.config.config_hash()}"
             f":{float(self.scale)!r}:{self.seed}:{self.trace_name}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -422,12 +395,10 @@ class ExperimentEngine:
             workers = os.cpu_count() or 1
         self.workers = workers
         if use_cache is None:
-            use_cache = os.environ.get("REPRO_CACHE", "1").lower() not in (
-                "0", "false", "off",
-            )
+            use_cache = store.enabled()
         self.use_cache = use_cache
         if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
+            cache_dir = store.cache_dir()
         self.cache_dir = Path(cache_dir)
         self.counters = EngineCounters()
         #: Cache key -> result, for every result this engine loaded from
@@ -665,14 +636,14 @@ class ExperimentEngine:
 
     def _validate_result(
         self, stats: object, key: str | None,
-    ) -> tuple[str | None, str | None]:
+    ) -> tuple[bytes | None, str | None]:
         """Reject a result the oracle or the result cache cannot vouch for.
 
         Runs on every freshly executed result *before* it is cached or
         returned — the fix for results that used to be published even
         when post-processing later raised. Returns ``(entry, problem)``,
         exactly one of them ``None``: *entry* is the cache entry's JSON
-        text, already decoded here and found equal to *stats*, which
+        bytes, already decoded here and found equal to *stats*, which
         :meth:`_cache_store` writes as it is.
         """
         if not isinstance(stats, SimStats):
@@ -794,66 +765,40 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     # On-disk result cache.
 
-    def _cache_path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key[2:]}.json"
-
     def _cache_load(self, job: SimJob, key: str | None = None) -> \
             SimStats | None:
         """Load a cached result; any corruption, staleness or entry of
-        another shape is a miss.
-
-        The path is a plain string and the file is read in one binary
-        ``open``: on a warm run this read is most of the engine's time.
-        """
+        another shape is a miss."""
         if key is None:
             key = job.cache_key()
-        path = os.path.join(
-            os.fspath(self.cache_dir), key[:2], key[2:] + ".json",
-        )
+        data = store.read(self.cache_dir, key, ".json")
+        if data is None:
+            return None
         try:
-            with open(path, "rb") as handle:
-                return _decode_entry(handle.read(), key)
-        except (OSError, TypeError, ValueError):
+            return _decode_entry(data, key)
+        except (TypeError, ValueError):
             return None
 
-    def _cache_store(self, key: str, text: str) -> None:
-        """Publish *text*, the entry :meth:`_validate_result` checked,
+    def _cache_store(self, key: str, entry: bytes) -> None:
+        """Publish *entry*, the bytes :meth:`_validate_result` checked,
         as the cached result for *key*."""
-        path = self._cache_path(key)
-        if faults.enabled():
-            text = faults.corrupt_text("corrupt_cache", key, text)
-        # The tmp name must be unique per writer — pid separates
-        # concurrent sweep processes, the counter separates threads
-        # within one — so no two writers ever interleave into the same
-        # tmp file; os.replace then publishes atomically and a reader
-        # can never observe a torn entry.
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_tmp_counter)}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            # A read-only or full filesystem never fails the experiment,
-            # and a failed write leaves no tmp file behind.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+        entry = faults.corrupt_bytes("corrupt_cache", key, entry)
+        store.write(self.cache_dir, key, ".json", entry)
 
 
-def _encode_entry(key: str | None, stats: SimStats) -> str:
+def _encode_entry(key: str | None, stats: SimStats) -> bytes:
     """The result-cache entry for *stats* under *key*: ``[key, row]``."""
-    return json.dumps([key, stats.to_row()])
+    return json.dumps([key, stats.to_row()]).encode()
 
 
-def _decode_entry(text: str | bytes, key: str | None) -> SimStats:
+def _decode_entry(entry: bytes, key: str | None) -> SimStats:
     """Inverse of :func:`_encode_entry`.
 
-    Raises ``ValueError`` or ``TypeError`` on text that is not JSON, an
+    Raises ``ValueError`` or ``TypeError`` on bytes that are not JSON, an
     entry of another shape, a key other than *key*, or a row
     :meth:`SimStats.from_row` rejects.
     """
-    data = json.loads(text)
+    data = json.loads(entry)
     if type(data) is not list or len(data) != 2:
         raise ValueError("a result entry is a [key, row] pair")
     if data[0] != key:

@@ -237,15 +237,8 @@ def enospc_point(identity: str) -> None:
         raise OSError(errno.ENOSPC, "No space left on device (injected)")
 
 
-def corrupt_text(site: str, identity: str, text: str) -> str:
-    """Truncate *text* mid-payload when *site* fires (JSON corruption)."""
-    if fire(site, identity):
-        return text[: max(1, len(text) // 3)]
-    return text
-
-
 def corrupt_bytes(site: str, identity: str, data: bytes) -> bytes:
-    """Truncate *data* mid-stream when *site* fires (binary corruption)."""
+    """Truncate a cache entry's *data* to a third when *site* fires."""
     if fire(site, identity):
         return data[: max(1, len(data) // 3)]
     return data

@@ -7,13 +7,14 @@ experiment grid:
 
 1. an in-process ``lru_cache`` memo per ``(name, scale, seed)`` — repeat
    loads in one process return the *same* ``Trace`` object;
-2. an **on-disk trace cache** (``REPRO_TRACE_CACHE`` /
-   ``REPRO_TRACE_CACHE_DIR``) holding the packed record stream plus its
+2. an **on-disk trace cache** in ``$REPRO_CACHE_DIR/traces``, kept by
+   the store the result cache uses (:mod:`repro.store`; ``REPRO_CACHE=0``
+   turns both off), holding the packed record stream plus its
    :class:`~repro.vm.trace.TraceAnalysis`, keyed by
-   ``(kernel name, scale, seed)`` and a fingerprint of the kernel / ISA /
-   VM sources — so cold worker processes *load* traces instead of
-   re-executing the VM, and a source edit anywhere in the trace-producing
-   code invalidates every entry;
+   ``(kernel name, scale, seed)`` and a fingerprint of the ISA, VM and
+   workload sources — so cold worker processes *load* traces instead of
+   re-executing the VM, and an edit anywhere in the trace-producing code
+   invalidates every entry;
 3. VM execution as the fallback, storing the result back to disk.
 
 A disk hit checks only the packed header and returns a deferred trace
@@ -35,8 +36,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
+from repro import store
 from repro.errors import ReproError
 from repro.isa.program import Program
 from repro.obs.log import get_logger
@@ -144,64 +145,26 @@ def trace_counters() -> TraceCounters:
 
 # ----------------------------------------------------------------------
 # On-disk trace cache.
-#
-# The key mirrors engine._code_fingerprint's discipline: cache identity
-# is (kernel, scale, seed) + a hash of every source file that can change
-# what the VM commits — the ISA, the VM itself, and the workload
-# generators. Any edit to those trees invalidates all entries.
 
 #: Bump when the cache addressing scheme changes.
 TRACE_CACHE_SCHEMA_VERSION = 1
 
-_FINGERPRINT_ROOTS = ("isa", "vm", "workloads")
+#: The sources that can change what the VM commits: an edit there
+#: retires every entry, an edit elsewhere (the timing core) none.
+_TRACE_SOURCES = ("isa", "vm", "workloads")
 
 
-def _hash_tree(root: Path, digest: "hashlib._Hash") -> None:
-    """Fold every ``*.py`` under *root* (sorted) into *digest*."""
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
-
-
-@functools.lru_cache(maxsize=1)
-def _trace_fingerprint() -> str:
-    """Hash of the sources that determine a trace's contents."""
-    package_root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    digest.update(f"trace-schema:{TRACE_CACHE_SCHEMA_VERSION}".encode())
-    for name in _FINGERPRINT_ROOTS:
-        root = package_root / name
-        digest.update(name.encode())
-        if root.is_dir():
-            _hash_tree(root, digest)
-    return digest.hexdigest()
-
-
-def trace_cache_enabled() -> bool:
-    """Whether the on-disk trace cache is active (default: yes)."""
-    return os.environ.get("REPRO_TRACE_CACHE", "1").lower() not in (
-        "0", "false", "off",
-    )
-
-
-def trace_cache_dir() -> Path:
-    """Directory holding packed trace files."""
-    override = os.environ.get("REPRO_TRACE_CACHE_DIR")
-    if override:
-        return Path(override)
-    base = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-    return Path(base) / "traces"
+def _trace_dir() -> str:
+    return os.path.join(store.cache_dir(), "traces")
 
 
 def _trace_key(name: str, scale: float, seed: int | None) -> str:
-    material = "\x1f".join(
-        (_trace_fingerprint(), name, repr(float(scale)), repr(seed))
-    )
+    material = "\x1f".join((
+        str(TRACE_CACHE_SCHEMA_VERSION),
+        store.fingerprint(include=_TRACE_SOURCES),
+        name, repr(float(scale)), repr(seed),
+    ))
     return hashlib.sha256(material.encode()).hexdigest()
-
-
-def _trace_path(key: str) -> Path:
-    return trace_cache_dir() / key[:2] / f"{key[2:]}.trace"
 
 
 def _count_repair(name: str, scale: float, seed: int | None) -> None:
@@ -211,17 +174,16 @@ def _count_repair(name: str, scale: float, seed: int | None) -> None:
     _counters.repairs += 1
     _log.warning(
         "repairing corrupt trace-cache entry for %s (scale=%s, seed=%s): %s",
-        name, scale, seed, _trace_path(_trace_key(name, scale, seed)),
+        name, scale, seed,
+        store.path(_trace_dir(), _trace_key(name, scale, seed), ".trace"),
     )
 
 
 def _load_cached(name: str, scale: float, seed: int | None) -> Trace | None:
     """A deferred trace over the disk entry, or ``None`` on miss or a
     bad header (the caller then regenerates and stores over it)."""
-    path = _trace_path(_trace_key(name, scale, seed))
-    try:
-        data = path.read_bytes()
-    except OSError:
+    data = store.read(_trace_dir(), _trace_key(name, scale, seed), ".trace")
+    if data is None:
         return None
     try:
         length = packed_length(data)
@@ -247,19 +209,14 @@ def _decode_cached(name: str, scale: float, seed: int | None, data: bytes) -> Tr
 
 
 def _store_cached(name: str, scale: float, seed: int | None, trace: Trace) -> None:
-    """Atomically write the packed trace (with analysis); best-effort."""
-    key = _trace_key(name, scale, seed)
-    path = _trace_path(key)
+    """Publish the packed trace (with analysis); best-effort."""
     try:
         data = pack_trace(trace, trace.analysis())
-        if faults.enabled():
-            data = faults.corrupt_bytes("truncate_trace", key, data)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except (OSError, ValueError):
-        pass  # caching is an optimization; never fail the load
+    except ValueError:
+        return  # caching is an optimization; never fail the load
+    key = _trace_key(name, scale, seed)
+    data = faults.corrupt_bytes("truncate_trace", key, data)
+    store.write(_trace_dir(), key, ".trace", data)
 
 
 def load_trace(name: str, scale: float = 1.0, seed: int | None = None) -> Trace:
@@ -279,7 +236,7 @@ def load_trace(name: str, scale: float = 1.0, seed: int | None = None) -> Trace:
 
 @functools.lru_cache(maxsize=128)
 def _memo_trace(name: str, scale: float, seed: int | None) -> Trace:
-    if trace_cache_enabled():
+    if store.enabled():
         started = time.perf_counter()
         trace = _load_cached(name, scale, seed)
         if trace is not None:
@@ -299,7 +256,7 @@ def _generate(
     _counters.generated += 1
     _counters.gen_seconds += time.perf_counter() - started
     trace.provenance = (name, scale, seed)
-    if trace_cache_enabled():
+    if store.enabled():
         _store_cached(name, scale, seed, trace)
     return trace
 

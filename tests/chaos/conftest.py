@@ -1,10 +1,10 @@
 """Shared fixtures for the chaos (fault-injection) suite.
 
 Every test here gets a private result cache, trace cache, and manifest
-(``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` pointed at its own
-``tmp_path``), a clean fault-plan memo, and an empty in-process trace
-memo — so injected faults and their artifacts can never leak between
-tests or into the rest of the run.
+(``REPRO_CACHE_DIR`` pointed at its own ``tmp_path``; the trace cache
+lives in its ``traces/`` directory), a clean fault-plan memo, and an
+empty in-process trace memo — so injected faults and their artifacts
+can never leak between tests or into the rest of the run.
 
 The suite is seed-parametric: ``REPRO_CHAOS_SEED`` (CI sweeps several
 values) feeds every fault plan, so a recovery path that only survives
@@ -30,7 +30,6 @@ def chaos_seed():
 @pytest.fixture(autouse=True)
 def _isolated_chaos_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "traces"))
     for knob in ("REPRO_FAULTS", "REPRO_MANIFEST"):
         monkeypatch.delenv(knob, raising=False)
     faults.reset()

@@ -33,7 +33,7 @@ from repro.workloads.suite import (
     load_trace,
     trace_counters,
 )
-from tests.result_entries import read_entry
+from tests.result_entries import entry_path, read_entry
 
 pytestmark = pytest.mark.chaos
 
@@ -67,7 +67,7 @@ def test_corrupt_result_cache_entry_repaired(
     )
     first_engine = ExperimentEngine(workers=1, cache_dir=cache)
     first = first_engine.run([job])[0]
-    path = first_engine._cache_path(job.cache_key())
+    path = entry_path(first_engine, job.cache_key())
     assert path.exists()
     with pytest.raises(ValueError):
         json.loads(path.read_text())  # the stored entry is garbage
@@ -100,7 +100,7 @@ def test_truncated_trace_cache_entry_repaired_and_counted(
 
     clear_trace_memo()
     engine = ExperimentEngine(workers=1, use_cache=False)
-    engine.run(_jobs()[:1])  # warming reads the unreadable entry
+    engine.run(_jobs()[:1])  # the job's trace load meets the bad entry
     assert trace_counters().repairs == repairs_before + 1
     assert read_manifest(engine.manifest.path)[-1]["trace_cache_repairs"] == 1
     second = load_trace("compress", scale=SCALE)

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro import store
 from repro.analysis import engine as engine_mod
 from repro.analysis.engine import (
     EngineCounters,
@@ -29,7 +30,7 @@ from repro.core.stats import SimStats
 from repro.errors import EngineError
 from repro.obs.manifest import read_manifest
 from repro.workloads.suite import load_trace
-from tests.result_entries import read_entry
+from tests.result_entries import entry_path, read_entry
 
 SCALE = 0.06
 TRACES = ("compress", "pointer_chase", "hash_dict")
@@ -91,7 +92,7 @@ def test_corrupted_cache_entry_detected_and_resimulated(tmp_path):
     job = SimJob(config=use_based_config(), trace_name="compress",
                  scale=SCALE)
     first = engine.run([job])[0]
-    path = engine._cache_path(job.cache_key())
+    path = entry_path(engine, job.cache_key())
     assert path.exists()
 
     # Truncate the entry mid-JSON. The engine that decoded it keeps
@@ -117,7 +118,7 @@ def test_stale_cache_key_mismatch_is_a_miss(tmp_path):
     job = SimJob(config=use_based_config(), trace_name="compress",
                  scale=SCALE)
     first = engine.run([job])[0]
-    path = engine._cache_path(job.cache_key())
+    path = entry_path(engine, job.cache_key())
     _, stats = read_entry(path)
     path.write_text(json.dumps(["0" * 64, stats.to_row()]))
     assert engine.run([job])[0] is first
@@ -154,7 +155,7 @@ def test_misshapen_entry_is_a_miss_and_rewritten_as_a_row(tmp_path, case):
                  scale=SCALE)
     first = engine.run([job])[0]
     key = job.cache_key()
-    path = engine._cache_path(key)
+    path = entry_path(engine, key)
     path.write_text(json.dumps(_misshapen_entry(case, key, first)))
 
     fresh = ExperimentEngine(workers=1, cache_dir=tmp_path)
@@ -204,7 +205,7 @@ def test_code_fingerprint_feeds_cache_key(monkeypatch):
     job = SimJob(config=use_based_config(), trace_name="compress",
                  scale=SCALE)
     before = job.cache_key()
-    monkeypatch.setattr(engine_mod, "_code_fingerprint_memo", "deadbeef")
+    monkeypatch.setattr(store, "fingerprint", lambda **scope: "deadbeef")
     assert job.cache_key() != before
 
 
@@ -598,7 +599,7 @@ def test_serial_sweep_never_imports_multiprocessing(tmp_path):
         "print('multiprocessing' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[2] / "src")
-    env = dict(os.environ, REPRO_TRACE_CACHE="0")
+    env = dict(os.environ, REPRO_CACHE="0")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )

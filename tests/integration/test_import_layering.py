@@ -88,9 +88,8 @@ def _run(code: str, env_extra: dict[str, str]) -> dict:
 
 
 def test_warm_process_imports_no_timing_core(tmp_path, monkeypatch):
-    cache_dir = tmp_path / "traces"
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(cache_dir))
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_trace_memo()
     try:
         trace = load_trace("compress", scale=0.02)  # fills the trace cache
@@ -98,7 +97,7 @@ def test_warm_process_imports_no_timing_core(tmp_path, monkeypatch):
         clear_trace_memo()
 
     out = _run(WARM_PROCESS, {
-        "REPRO_TRACE_CACHE": "1", "REPRO_TRACE_CACHE_DIR": str(cache_dir),
+        "REPRO_CACHE": "1", "REPRO_CACHE_DIR": str(tmp_path),
     })
     assert out["loaded"] == 1  # the trace came from disk, not the VM
     assert out["insts"] == len(trace)  # from the header alone
@@ -112,8 +111,8 @@ def test_warm_process_imports_no_timing_core(tmp_path, monkeypatch):
 
 
 def test_decoded_cached_trace_equals_the_generated_one(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_trace_memo()
     try:
         eager = load_trace("compress", scale=0.02)  # generated and stored

@@ -8,34 +8,30 @@ never fatal. A cached load checks only the header and decodes on first
 use, so a corrupt body is repaired then.
 """
 
-import hashlib
+import os
 import pickle
+from pathlib import Path
 
 import pytest
 
+from repro import store
 from repro.analysis.engine import ExperimentEngine, SimJob
 from repro.analysis.sweeps import load_traces, sweep
 from repro.core.config import use_based_config
 from repro.workloads import suite
-from repro.workloads.suite import (
-    _hash_tree,
-    _trace_key,
-    _trace_path,
-    clear_trace_memo,
-    load_trace,
-)
+from repro.workloads.suite import _trace_key, clear_trace_memo, load_trace
 
 SCALE = 0.06
 
 
 @pytest.fixture
 def trace_cache(tmp_path, monkeypatch):
-    """Route the trace cache to a fresh directory, with a cold memo."""
-    cache_dir = tmp_path / "traces"
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(cache_dir))
+    """Route the caches to a fresh directory, with a cold memo; yields
+    the trace cache's directory."""
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_trace_memo()
-    yield cache_dir
+    yield tmp_path / "traces"
     clear_trace_memo()
 
 
@@ -43,9 +39,15 @@ def _signatures(trace):
     return [record.signature() for record in trace]
 
 
+def _entry_path(name):
+    return Path(store.path(suite._trace_dir(), _trace_key(name, SCALE, None),
+                           ".trace"))
+
+
 def test_cached_load_bit_identical_to_fresh_execution(trace_cache):
     fresh = load_trace("compress", scale=SCALE)
-    path = _trace_path(_trace_key("compress", SCALE, None))
+    path = _entry_path("compress")
+    assert path.parent.parent == trace_cache
     assert path.is_file()  # generation stored the packed trace
 
     clear_trace_memo()  # force the next load through the disk cache
@@ -69,9 +71,8 @@ def test_cache_key_tracks_source_fingerprint(tmp_path):
     kernel.write_text("A = 1\n")
 
     def fingerprint():
-        digest = hashlib.sha256()
-        _hash_tree(root, digest)
-        return digest.hexdigest()
+        store.fingerprint.cache_clear()  # memoized per scope
+        return store.fingerprint(package=str(root))
 
     before = fingerprint()
     kernel.write_text("A = 2\n")
@@ -83,15 +84,13 @@ def test_cache_key_tracks_source_fingerprint(tmp_path):
 
 def test_trace_key_depends_on_fingerprint(monkeypatch):
     key = _trace_key("compress", SCALE, None)
-    monkeypatch.setattr(
-        suite, "_trace_fingerprint", lambda: "0" * 64
-    )
+    monkeypatch.setattr(store, "fingerprint", lambda **scope: "0" * 64)
     assert _trace_key("compress", SCALE, None) != key
 
 
 def test_corrupted_cache_file_regenerated_and_repaired(trace_cache):
     fresh = load_trace("compress", scale=SCALE)
-    path = _trace_path(_trace_key("compress", SCALE, None))
+    path = _entry_path("compress")
     original = path.read_bytes()
     path.write_bytes(original[: len(original) // 3])  # truncate mid-blob
 
@@ -108,7 +107,7 @@ def test_corrupt_section_repaired_at_first_use(trace_cache):
     """A blob with a good header but a corrupt int64 section loads, then
     is regenerated, stored back and counted when its records are read."""
     fresh = load_trace("compress", scale=SCALE)
-    path = _trace_path(_trace_key("compress", SCALE, None))
+    path = _entry_path("compress")
     original = path.read_bytes()
     payload = pickle.loads(original)
     payload["values"] = payload["values"][:-3]  # not a whole int64
@@ -164,13 +163,27 @@ def test_parallel_sweep_decodes_in_the_parent(trace_cache, tmp_path,
     assert all(trace.decoded for trace in traces.values())
 
 
+def test_failed_trace_store_leaves_no_tmp_file(trace_cache, monkeypatch):
+    """A refused ``os.replace`` must not strand ``<key>.trace.tmp.*``;
+    the load still returns its trace."""
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    trace = load_trace("compress", scale=SCALE)
+    assert len(trace) > 0
+    assert list(trace_cache.rglob("*.tmp*")) == []
+    assert not _entry_path("compress").exists()
+
+
 def test_cache_disabled_by_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_trace_memo()
     try:
         load_trace("compress", scale=SCALE)
         assert not (tmp_path / "traces").exists()
+        assert not ExperimentEngine(workers=1).use_cache  # one switch
     finally:
         clear_trace_memo()
 

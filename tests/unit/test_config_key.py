@@ -185,16 +185,17 @@ def test_job_key_changes_with_config_and_trace_provenance(change):
 
 
 @pytest.mark.parametrize("name", [
-    "CACHE_SCHEMA_VERSION", "STATS_SCHEMA_VERSION", "_code_fingerprint_memo",
+    "CACHE_SCHEMA_VERSION", "STATS_SCHEMA_VERSION", "source_fingerprint",
 ])
 def test_job_key_changes_with_schema_versions_and_code(monkeypatch, name):
+    from repro import store
     from repro.analysis import engine as engine_mod
 
     before = _job().cache_key()
-    engine_mod._code_fingerprint()  # fill the memo before replacing it
-    value = getattr(engine_mod, name)
-    changed = "0" * 64 if isinstance(value, str) else value + 1
-    monkeypatch.setattr(engine_mod, name, changed)
+    if name == "source_fingerprint":
+        monkeypatch.setattr(store, "fingerprint", lambda **scope: "0" * 64)
+    else:
+        monkeypatch.setattr(engine_mod, name, getattr(engine_mod, name) + 1)
     assert _job().cache_key() != before
 
 
