@@ -82,8 +82,6 @@ Environment knobs (read when the shared engine is created):
   and the trace factory's trace cache (see :mod:`repro.store`).
 * ``REPRO_CACHE_DIR`` — cache location (default ``.repro-cache``); the
   trace cache lives in its ``traces/`` directory.
-* ``REPRO_FAULTS`` — arm the deterministic fault-injection plan (see
-  :mod:`repro.testing.faults`); inert unless set.
 * ``REPRO_MANIFEST`` — ``0`` disables run manifests; a path overrides
   the default ``<cache_dir>/manifest.jsonl``.
 * ``REPRO_LOG_LEVEL`` — progress/diagnostic logging level (the engine
@@ -117,7 +115,7 @@ from repro.obs.manifest import (
     manifest_path_for,
     percentile,
 )
-from repro.testing import faults, oracle
+from repro.testing import oracle
 from repro.vm.trace import Trace
 from repro.workloads.suite import load_trace, trace_counters
 
@@ -210,14 +208,6 @@ class SimJob:
             return self.trace
         return load_trace(self.trace_name, scale=self.scale, seed=self.seed)
 
-    def fault_identity(self) -> str:
-        """Stable identity for fault-plan decisions (same in any process)."""
-        return (
-            f"{self.trace_name or self.label or 'trace'}"
-            f":{float(self.scale)}:{self.seed}"
-            f":{self.config.config_hash()}"
-        )
-
     def cache_key(self) -> str:
         """Content-addressed identity of this job's result.
 
@@ -242,8 +232,9 @@ class JobFailure:
     """Captured failure of one job (kept instead of a SimStats).
 
     ``kind`` distinguishes how the job died: ``error`` (exception in
-    the simulator), ``crash`` (worker process died), ``invalid``
-    (result rejected by the oracle's conservation invariants).
+    the simulator), ``crash`` (its pool worker died), ``invalid``
+    (result rejected by the oracle's conservation invariants or its
+    cache entry's round trip).
     """
 
     job: SimJob
@@ -258,18 +249,14 @@ class JobFailure:
 # Worker shim.
 
 
-def _execute_job(
-    job: SimJob, allow_crash: bool = False,
-) -> tuple[str, object, float, int | None]:
-    """Run one job; never raises (worker-side error capture).
+def _execute_job(job: SimJob) -> tuple[str, object, float, int | None]:
+    """Run one job, capturing any exception it raises.
 
     Returns ``(status, payload, wall_seconds, worker_pid)`` where
-    *status* is ``ok`` (payload = SimStats), ``crash`` (an injected
-    fault on the in-process path), or ``error`` (payload = traceback
-    text). Runs in worker processes, so it must stay module-level
-    (picklable by reference). *allow_crash* lets the ``crash`` fault
-    site call ``os._exit`` (pool workers only — in-process execution
-    raises instead, so the host survives).
+    *status* is ``ok`` (payload = SimStats) or ``error`` (payload =
+    traceback text); a ``crash`` is found by the pool, not here. Runs
+    in worker processes, so it must stay module-level (picklable by
+    reference).
 
     The job resolves its trace (memoized per process), takes the
     trace's branch plan (:func:`branch_plan_for`, computed by the first
@@ -279,20 +266,12 @@ def _execute_job(
     start = time.perf_counter()
     pid = os.getpid()
     try:
-        identity = job.fault_identity() if faults.enabled() else ""
-        faults.crash_point(identity, allow_exit=allow_crash)
         trace = job.resolve_trace()
         # Memoized on the trace: the prediction pass is a step of its
         # own, not a hidden part of Pipeline construction.
         _engine.branch_plan_for(trace)
         stats = _engine.Pipeline(trace, job.config).run()
-        if faults.job_fault("bad_stats", identity):
-            stats.retired = -stats.retired - 1
         return ("ok", stats, time.perf_counter() - start, pid)
-    except faults.InjectedFault:
-        return (
-            "crash", traceback.format_exc(), time.perf_counter() - start, pid,
-        )
     except Exception:
         return (
             "error", traceback.format_exc(), time.perf_counter() - start, pid,
@@ -702,8 +681,6 @@ class ExperimentEngine:
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
         for index, job in enumerate(jobs):
-            if faults.enabled():
-                faults.interrupt_point(job.fault_identity())
             outcome = _execute_job(job)
             if progress is not None:
                 progress.update()
@@ -740,7 +717,7 @@ class ExperimentEngine:
         broken: list[int] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_execute_job, job, True): index
+                pool.submit(_execute_job, job): index
                 for index, job in enumerate(jobs)
             }
             # Yield in completion order so progress (and its ETA) is
@@ -782,7 +759,6 @@ class ExperimentEngine:
     def _cache_store(self, key: str, entry: bytes) -> None:
         """Publish *entry*, the bytes :meth:`_validate_result` checked,
         as the cached result for *key*."""
-        entry = faults.corrupt_bytes("corrupt_cache", key, entry)
         store.write(self.cache_dir, key, ".json", entry)
 
 

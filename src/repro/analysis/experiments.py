@@ -6,8 +6,8 @@ suite, returning an :class:`~repro.analysis.report.ExperimentResult`.
 
 Environment knobs (read once at call time, not import time):
 
-* ``REPRO_SCALE`` — workload scale factor (default 0.3). Larger values
-  lengthen every benchmark trace proportionally.
+* ``REPRO_SCALE`` — workload scale factor (unset or blank = 0.3).
+  Larger values lengthen every benchmark trace proportionally.
 * ``REPRO_SUITE`` — ``full`` (default) or ``short`` (four benchmarks,
   for quick sweeps).
 
@@ -28,7 +28,7 @@ import sys
 import traceback
 from collections.abc import Iterable
 
-from repro.analysis.engine import get_engine
+from repro.analysis.engine import _env_number, get_engine
 from repro.analysis.metrics import aggregate_cache_metrics
 from repro.analysis.report import ExperimentResult, render
 from repro.analysis.sweeps import load_traces, run_config, sweep
@@ -101,7 +101,7 @@ def _present(results: dict) -> dict:
 
 
 def _scale() -> float:
-    return float(os.environ.get("REPRO_SCALE", "0.3"))
+    return _env_number("REPRO_SCALE", float, 0.3, "a scale factor")
 
 
 _SUITES = {"full": DEFAULT_SUITE, "short": SHORT_SUITE}

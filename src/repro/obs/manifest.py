@@ -28,8 +28,6 @@ import json
 import os
 from pathlib import Path
 
-from repro.testing import faults
-
 #: Default manifest file name under the engine cache directory.
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -91,7 +89,6 @@ class ManifestWriter:
 
     def _write(self, payload: str) -> bool:
         try:
-            faults.enospc_point(str(self.path))
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644

@@ -29,8 +29,9 @@ def enabled() -> bool:
 
 
 def cache_dir() -> str:
-    """The cache directory (``REPRO_CACHE_DIR``; default ``.repro-cache``)."""
-    return os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
+    """The cache directory (``REPRO_CACHE_DIR``; unset or blank means
+    ``.repro-cache``)."""
+    return os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
 
 
 @functools.lru_cache(maxsize=None)

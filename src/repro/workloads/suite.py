@@ -41,7 +41,6 @@ from repro import store
 from repro.errors import ReproError
 from repro.isa.program import Program
 from repro.obs.log import get_logger
-from repro.testing import faults
 from repro.vm.trace import Trace, pack_trace, packed_length, unpack_trace
 
 _log = get_logger("suite")
@@ -214,9 +213,7 @@ def _store_cached(name: str, scale: float, seed: int | None, trace: Trace) -> No
         data = pack_trace(trace, trace.analysis())
     except ValueError:
         return  # caching is an optimization; never fail the load
-    key = _trace_key(name, scale, seed)
-    data = faults.corrupt_bytes("truncate_trace", key, data)
-    store.write(_trace_dir(), key, ".trace", data)
+    store.write(_trace_dir(), _trace_key(name, scale, seed), ".trace", data)
 
 
 def load_trace(name: str, scale: float = 1.0, seed: int | None = None) -> Trace:

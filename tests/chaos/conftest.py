@@ -1,24 +1,29 @@
 """Shared fixtures for the chaos (fault-injection) suite.
 
-Every test here gets a private result cache, trace cache, and manifest
+The suite faults the real engine through seams it already has
+(:mod:`tests.faulty`): a faulty pipeline bound to the rebindable
+``engine.Pipeline``, cache entries truncated on disk between runs, and
+a manifest path under a regular file, so the OS refuses every manifest
+write.
+
+Every test gets a private result cache, trace cache and manifest
 (``REPRO_CACHE_DIR`` pointed at its own ``tmp_path``; the trace cache
-lives in its ``traces/`` directory), a clean fault-plan memo, and an
-empty in-process trace memo — so injected faults and their artifacts
-can never leak between tests or into the rest of the run.
+lives in its ``traces/`` directory) and an empty in-process trace memo,
+so faults and their artifacts never leak between tests or into the
+rest of the run.
 
 The suite is seed-parametric: ``REPRO_CHAOS_SEED`` (CI sweeps several
-values) feeds every fault plan, so a recovery path that only survives
-one lucky fault ordering still gets caught.
+values) draws the victims of every fault, so a recovery path that only
+survives one lucky choice of victims still gets caught.
 """
 
 import os
 
 import pytest
 
-from repro.testing import faults
 from repro.workloads.suite import clear_trace_memo
 
-#: Base seed for every fault plan in this suite.
+#: Base seed from which every test draws its victims.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "42"))
 
 
@@ -30,10 +35,7 @@ def chaos_seed():
 @pytest.fixture(autouse=True)
 def _isolated_chaos_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for knob in ("REPRO_FAULTS", "REPRO_MANIFEST"):
-        monkeypatch.delenv(knob, raising=False)
-    faults.reset()
+    monkeypatch.delenv("REPRO_MANIFEST", raising=False)
     clear_trace_memo()
     yield
-    faults.reset()
     clear_trace_memo()

@@ -1,19 +1,21 @@
-"""Chaos suite: every injected failure mode must recover.
+"""Chaos suite: every failure mode must recover.
 
-Each test arms exactly one fault site through ``REPRO_FAULTS``, runs a
-real sweep, and asserts two things: the run converges to the
-*fault-free* result (bitwise, where the fault allows it), and the
-recovery left the expected observability trail — the error, repair and
-refused-write counts a production run would alarm on. The differential
-oracle cross-checks every recovered sweep against a replay of its
-traces. Every job gets one attempt, so a job-level fault must stay in
-the slot of the job it hit, leave every other slot of the sweep
-untouched, and a re-run with the plan disarmed must execute only the
-holes.
+Each test faults the real engine through one of its own seams — a
+faulty pipeline bound to ``engine.Pipeline``, a cache entry truncated on
+disk, a manifest the OS refuses — runs a real sweep, and asserts two
+things: the run converges to the *fault-free* result (bitwise, where
+the fault allows it), and the recovery left the expected observability
+trail — the error, repair and refused-write counts a production run
+would alarm on. The differential oracle cross-checks every recovered
+sweep against a replay of its traces. Every job gets one attempt, so a
+job-level fault must stay in the slot of the job it hit, leave every
+other slot of the sweep untouched, and a re-run with the real pipeline
+must execute only the holes.
 """
 
-import itertools
 import json
+from itertools import compress
+from pathlib import Path
 
 import pytest
 
@@ -27,12 +29,13 @@ from repro.core.config import (
 )
 from repro.frontend.fetch import branch_plan_for
 from repro.obs.manifest import read_manifest
-from repro.testing import faults, oracle
+from repro.testing import oracle
 from repro.workloads.suite import (
     clear_trace_memo,
     load_trace,
     trace_counters,
 )
+from tests.faulty import arm, draw_hits, needs_fork
 from tests.result_entries import entry_path, read_entry
 
 pytestmark = pytest.mark.chaos
@@ -54,21 +57,23 @@ def _assert_oracle_clean(results):
     assert oracle.check_results(traces, by_name) == {}
 
 
-def test_corrupt_result_cache_entry_repaired(
-    chaos_seed, tmp_path, monkeypatch,
-):
-    """A cache entry corrupted at write time is never served: the next
-    run detects it, re-simulates, and heals the entry in place."""
+def _truncate(path: Path) -> None:
+    """Cut the file at *path* to a third of its bytes, as a write torn
+    by a full disk or a crash would leave it."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 3])
+
+
+def test_corrupt_result_cache_entry_repaired(tmp_path):
+    """A truncated cache entry is never served: the next run detects
+    it, re-simulates, and heals the entry in place."""
     cache = tmp_path / "rcache"
     job = SimJob(config=use_based_config(), trace_name="compress",
                  scale=SCALE)
-    monkeypatch.setenv(
-        "REPRO_FAULTS", f"corrupt_cache=1.0,times=1,seed={chaos_seed}",
-    )
     first_engine = ExperimentEngine(workers=1, cache_dir=cache)
     first = first_engine.run([job])[0]
     path = entry_path(first_engine, job.cache_key())
-    assert path.exists()
+    _truncate(path)
     with pytest.raises(ValueError):
         json.loads(path.read_text())  # the stored entry is garbage
 
@@ -86,17 +91,14 @@ def test_corrupt_result_cache_entry_repaired(
     assert read_entry(path)[1].cycles == first.cycles
 
 
-def test_truncated_trace_cache_entry_repaired_and_counted(
-    chaos_seed, monkeypatch,
-):
+def test_truncated_trace_cache_entry_repaired_and_counted(tmp_path):
     """A truncated packed trace triggers the repair path: regenerate,
     bump ``trace_cache_repairs``, and report it in the manifest's
     ``run`` record."""
     repairs_before = trace_counters().repairs
-    monkeypatch.setenv(
-        "REPRO_FAULTS", f"truncate_trace=1.0,times=1,seed={chaos_seed}",
-    )
-    first = load_trace("compress", scale=SCALE)  # stores truncated bytes
+    first = load_trace("compress", scale=SCALE)  # stores the entry
+    [path] = (tmp_path / "cache" / "traces").rglob("*.trace")
+    _truncate(path)
 
     clear_trace_memo()
     engine = ExperimentEngine(workers=1, use_cache=False)
@@ -112,13 +114,12 @@ def test_truncated_trace_cache_entry_repaired_and_counted(
     assert len(third.records) == len(first.records)
 
 
-def test_manifest_enospc_never_fails_the_run(
-    chaos_seed, tmp_path, monkeypatch,
-):
-    """A full filesystem degrades observability, not the experiment."""
-    monkeypatch.setenv(
-        "REPRO_FAULTS", f"enospc=1.0,times=100,seed={chaos_seed}",
-    )
+def test_refused_manifest_writes_never_fail_the_run(tmp_path, monkeypatch):
+    """A filesystem that refuses the manifest degrades observability,
+    not the experiment."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a regular file: no directory goes under it
+    monkeypatch.setenv("REPRO_MANIFEST", str(blocker / "manifest.jsonl"))
     engine = ExperimentEngine(workers=1, cache_dir=tmp_path / "rcache")
     results = engine.run(_jobs())
     assert all(stats.retired > 0 for stats in results)
@@ -130,10 +131,8 @@ def test_manifest_enospc_never_fails_the_run(
 
 # ----------------------------------------------------------------------
 # Faults inside one sweep: several configs over one trace, the shape of
-# every figure's grid.
-
-#: What each job-level fault site leaves in its slot.
-SITE_KINDS = {"crash": "crash", "bad_stats": "invalid"}
+# every figure's grid. A ``crash`` exits a pool worker, so it runs only
+# in a pool; every pooled case needs its workers forked.
 
 
 def _sweep_jobs():
@@ -147,37 +146,31 @@ def _sweep_jobs():
     ]
 
 
-def _spec_hitting_some(site, chaos_seed, jobs):
-    """A fault spec for *site* that hits some but not all of *jobs*,
-    and which jobs it hits."""
-    for seed in itertools.count(chaos_seed):
-        spec = f"{site}=0.5,seed={seed}"
-        plan = faults.parse_plan(spec)
-        hit = [plan.decide(site, job.fault_identity()) for job in jobs]
-        if any(hit) and not all(hit):
-            return spec, hit
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("site", sorted(SITE_KINDS))
+@pytest.mark.parametrize("fault, workers", [
+    pytest.param("crash", 2, marks=needs_fork),
+    ("error", 1),
+    pytest.param("error", 2, marks=needs_fork),
+    ("invalid", 1),
+    pytest.param("invalid", 2, marks=needs_fork),
+])
 def test_sweep_fault_stays_in_its_own_slot(
-    chaos_seed, monkeypatch, site, workers,
+    chaos_seed, monkeypatch, fault, workers,
 ):
-    """A job-level fault fails only the jobs it hits; every other slot
-    of the sweep equals a fault-free run over the same memoized trace
-    and branch plan."""
+    """A job-level fault fails only the jobs it hits, as a hole of its
+    own kind; every other slot of the sweep equals a fault-free run over
+    the same memoized trace and branch plan."""
     jobs = _sweep_jobs()
     baseline = ExperimentEngine(workers=1, use_cache=False).run(jobs)
     trace = jobs[0].resolve_trace()
     plan = branch_plan_for(trace)
-    spec, hit = _spec_hitting_some(site, chaos_seed, jobs)
-    monkeypatch.setenv("REPRO_FAULTS", spec)
+    hit = draw_hits(len(jobs), chaos_seed)
+    arm(monkeypatch, fault, compress(jobs, hit))
     engine = ExperimentEngine(workers=workers, use_cache=False)
     results = engine.run(jobs, raise_on_error=False)
     for slot, was_hit, expected in zip(results, hit, baseline):
         if was_hit:
             assert isinstance(slot, JobFailure)
-            assert slot.kind == SITE_KINDS[site]
+            assert slot.kind == fault
         else:
             assert slot.to_dict() == expected.to_dict()
     assert engine.counters.errors == sum(hit)
@@ -185,35 +178,36 @@ def test_sweep_fault_stays_in_its_own_slot(
     assert branch_plan_for(trace) is plan
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_rerun_after_crash_executes_only_the_holes(
-    chaos_seed, tmp_path, monkeypatch, workers,
+@pytest.mark.parametrize("fault, workers", [
+    pytest.param("crash", 2, marks=needs_fork),
+    ("error", 1),
+])
+def test_rerun_executes_only_the_holes(
+    chaos_seed, tmp_path, monkeypatch, fault, workers,
 ):
-    """A crash leaves a ``crash`` hole in each slot it hits and caches
-    every other result; once the plan is disarmed, a re-run on the same
-    cache executes only the holes and converges to the fault-free
-    results."""
+    """A fault leaves a hole in each slot it hits and caches every other
+    result; with the real pipeline back, a re-run on the same cache
+    executes only the holes and converges to the fault-free results."""
     jobs = _sweep_jobs()
     baseline = [
         stats.to_dict()
         for stats in ExperimentEngine(workers=1, use_cache=False).run(jobs)
     ]
-    spec, hit = _spec_hitting_some("crash", chaos_seed, jobs)
+    hit = draw_hits(len(jobs), chaos_seed)
     cache = tmp_path / "rcache"
-    monkeypatch.setenv("REPRO_FAULTS", spec)
+    arm(monkeypatch, fault, compress(jobs, hit))
     first = ExperimentEngine(workers=workers, cache_dir=cache)
     results = first.run(jobs, raise_on_error=False)
     for job, slot, was_hit, expected in zip(jobs, results, hit, baseline):
         if was_hit:
             assert isinstance(slot, JobFailure)
-            assert slot.kind == "crash"
+            assert slot.kind == fault
             assert first._cache_load(job) is None
         else:
             assert slot.to_dict() == expected
             assert first._cache_load(job).to_dict() == expected
 
-    monkeypatch.delenv("REPRO_FAULTS")
-    faults.reset()
+    arm(monkeypatch, None)
     second = ExperimentEngine(workers=workers, cache_dir=cache)
     rerun = second.run(jobs)
     assert second.counters.executed == sum(hit)

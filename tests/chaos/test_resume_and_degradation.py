@@ -1,12 +1,16 @@
 """Chaos suite: interrupted sweeps resume; broken results degrade.
 
-Two end-to-end recovery stories. First, a sweep killed mid-run (an
-injected ``KeyboardInterrupt`` between jobs) has already cached every
-job it finished, so re-running it executes *only* the missing jobs.
-Second, a result the differential oracle rejects becomes an explicit
-hole: the experiment still renders (with its failures called out) and
-the CLI exits 3 instead of publishing silently-partial data.
+Two end-to-end recovery stories. First, a sweep killed mid-run (a
+``KeyboardInterrupt`` raised by the pipeline of one of its jobs) has
+already cached every job it finished, so re-running it executes *only*
+the missing jobs. Second, a result the differential oracle rejects
+becomes an explicit hole: the experiment still renders (with its
+failures called out) and the CLI exits 3 instead of publishing
+silently-partial data.
 """
+
+import random
+from itertools import compress
 
 import pytest
 
@@ -14,9 +18,8 @@ from repro.analysis import experiments
 from repro.analysis.engine import ExperimentEngine, SimJob, configure
 from repro.analysis.report import render
 from repro.core.config import use_based_config
-from repro.testing import faults
 from repro.workloads.suite import SHORT_SUITE
-from repro.analysis.sweeps import load_traces
+from tests.faulty import arm, draw_hits
 
 pytestmark = pytest.mark.chaos
 
@@ -31,51 +34,26 @@ def _jobs():
     ]
 
 
-def _probe_seed(site, identities, start):
-    """First seed >= *start* whose plan fires mid-sweep.
-
-    The fault must spare the first job (so there is finished work to
-    resume / a partial result to render) but hit at least one other.
-    Decisions are pure in (seed, site, identity), so this probe costs
-    a few hashes, not simulations.
-    """
-    for seed in range(start, start + 10_000):
-        plan = faults.FaultPlan(
-            seed=seed, rates=faults.MappingProxyType({site: 0.5}),
-        )
-        fires = [
-            plan.decide(site, identity)
-            for identity in identities
-        ]
-        if not fires[0] and any(fires):
-            return seed, fires.index(True)
-    pytest.fail(f"no workable {site} seed within 10000 of {start}")
-
-
 def test_interrupted_sweep_resumes_only_missing_jobs(
     chaos_seed, tmp_path, monkeypatch,
 ):
     jobs = _jobs()
-    seed, fire_index = _probe_seed(
-        "interrupt", [job.fault_identity() for job in jobs], chaos_seed,
-    )
+    # Spare the first job, so there is finished work to resume.
+    interrupted = random.Random(chaos_seed).randrange(1, len(jobs))
     cache = tmp_path / "rcache"
-    monkeypatch.setenv(
-        "REPRO_FAULTS", f"interrupt=0.5,times=1,seed={seed}",
-    )
+    arm(monkeypatch, "interrupt", [jobs[interrupted]])
     first = ExperimentEngine(workers=1, cache_dir=cache)
     with pytest.raises(KeyboardInterrupt):
         first.run(jobs)
     # Every job finished before the interrupt was already folded in.
-    assert first.counters.executed == fire_index
+    assert first.counters.executed == interrupted
 
-    monkeypatch.delenv("REPRO_FAULTS")
-    faults.reset()
+    arm(monkeypatch, None)
     second = ExperimentEngine(workers=1, cache_dir=cache)
     results = second.run(_jobs())
     assert all(stats.retired > 0 for stats in results)
-    assert second.counters.cache_hits == fire_index
-    assert second.counters.executed == len(jobs) - fire_index
+    assert second.counters.cache_hits == interrupted
+    assert second.counters.executed == len(jobs) - interrupted
 
 
 def test_invalid_results_degrade_to_partial_experiment(
@@ -83,17 +61,13 @@ def test_invalid_results_degrade_to_partial_experiment(
 ):
     monkeypatch.setenv("REPRO_SCALE", str(SCALE))
     monkeypatch.setenv("REPRO_SUITE", "short")
-    traces = load_traces(SHORT_SUITE, SCALE)
+    # The jobs fig1 runs: one lifetime-recording config per trace.
     jobs = [
-        SimJob.for_trace(trace, use_based_config(), label=name)
-        for name, trace in traces.items()
+        SimJob(config=use_based_config(record_lifetimes=True),
+               trace_name=name, scale=SCALE)
+        for name in SHORT_SUITE
     ]
-    seed, _ = _probe_seed(
-        "bad_stats", [job.fault_identity() for job in jobs], chaos_seed,
-    )
-    monkeypatch.setenv(
-        "REPRO_FAULTS", f"bad_stats=0.5,times=1,seed={seed}",
-    )
+    arm(monkeypatch, "invalid", compress(jobs, draw_hits(len(jobs), chaos_seed)))
     configure(workers=1, cache_dir=tmp_path / "rcache")
     try:
         result = experiments.fig1_lifetimes()

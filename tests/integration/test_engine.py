@@ -30,6 +30,7 @@ from repro.core.stats import SimStats
 from repro.errors import EngineError
 from repro.obs.manifest import read_manifest
 from repro.workloads.suite import load_trace
+from tests.faulty import arm, needs_fork
 from tests.result_entries import entry_path, read_entry
 
 SCALE = 0.06
@@ -527,20 +528,18 @@ def test_second_run_is_served_from_the_table(tmp_path, monkeypatch):
     assert all(r["cached"] and r["status"] == "ok" for r in second)
 
 
-class _CrashingPipeline:
-    """Fails the way a worker killed by an injected fault does."""
+class _RaisingPipeline:
+    """Fails the way a simulator bug does."""
 
     def __init__(self, trace, config):
         pass
 
     def run(self):
-        from repro.testing.faults import InjectedFault
-
-        raise InjectedFault("injected crash")
+        raise RuntimeError("simulator bug")
 
 
 @pytest.mark.parametrize("kind, pipeline", [
-    ("invalid", _CorruptingPipeline), ("crash", _CrashingPipeline),
+    ("invalid", _CorruptingPipeline), ("error", _RaisingPipeline),
 ])
 def test_hole_is_reexecuted_on_the_next_run(
     tmp_path, monkeypatch, kind, pipeline,
@@ -558,6 +557,29 @@ def test_hole_is_reexecuted_on_the_next_run(
     assert first[1].kind == kind
 
     monkeypatch.setattr(engine_mod, "Pipeline", Pipeline)
+    loads = _count_disk_loads(monkeypatch)
+    again = engine.run([good, bad])
+    assert loads == [bad.cache_key()]
+    assert again[0] is first[0]
+    assert again[1].retired > 0
+    assert engine.counters.executed == 3
+
+
+@needs_fork
+def test_worker_crash_is_a_hole_the_next_run_fills(tmp_path, monkeypatch):
+    """A job whose pool worker exits leaves a ``crash`` hole in its own
+    slot only; the next run executes just that hole."""
+    engine = ExperimentEngine(workers=2, cache_dir=tmp_path)
+    good = SimJob(config=use_based_config(), trace_name="compress",
+                  scale=SCALE)
+    bad = SimJob(config=lru_config(), trace_name="compress", scale=SCALE)
+    arm(monkeypatch, "crash", [bad])
+    first = engine.run([good, bad], raise_on_error=False)
+    assert first[0] and isinstance(first[1], JobFailure)
+    assert first[1].kind == "crash"
+    assert engine.counters.parallel_jobs == 2
+
+    arm(monkeypatch, None)
     loads = _count_disk_loads(monkeypatch)
     again = engine.run([good, bad])
     assert loads == [bad.cache_key()]

@@ -58,3 +58,18 @@ def test_suite_typo_is_rejected(monkeypatch):
     monkeypatch.setenv("REPRO_SUITE", "shrot")
     with pytest.raises(ValueError, match="'full' or 'short'"):
         experiments_mod._names()
+
+
+def test_scale_typo_names_the_knob(monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "abc")
+    with pytest.raises(ValueError, match="REPRO_SCALE='abc'"):
+        experiments_mod._scale()
+
+
+@pytest.mark.parametrize("value, scale", [(None, 0.3), ("", 0.3), ("0.2", 0.2)])
+def test_scale_unset_or_blank_is_the_default(monkeypatch, value, scale):
+    if value is None:
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SCALE", value)
+    assert experiments_mod._scale() == scale

@@ -36,4 +36,4 @@ def test_every_documented_knob_is_read():
 
 def test_knob_count_does_not_grow():
     # A ratchet: lower it when a knob goes, never raise it.
-    assert len(_read_knobs()) <= 8
+    assert len(_read_knobs()) <= 7

@@ -125,3 +125,16 @@ def test_one_switch(monkeypatch, value, on):
     else:
         monkeypatch.setenv("REPRO_CACHE", value)
     assert store.enabled() is on
+
+
+@pytest.mark.parametrize("value, where", [
+    (None, ".repro-cache"), ("", ".repro-cache"), ("/tmp/c", "/tmp/c"),
+])
+def test_cache_dir_unset_or_blank_is_the_default(monkeypatch, value, where):
+    # A blank value once made the cwd the cache: entries, manifest and
+    # ``traces/`` all landed among the user's files.
+    if value is None:
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_CACHE_DIR", value)
+    assert store.cache_dir() == where
