@@ -2,20 +2,17 @@
 """Bring your own workload: assemble a program and study its register
 behaviour under different cache policies.
 
-Demonstrates the three workload entry points the library offers:
-
-1. writing assembly directly and running it through the functional VM,
-2. the prepackaged SPECint-like kernels,
-3. the statistical trace synthesizer with custom degree-of-use
-   distributions.
+Writes a program in the library's assembly, runs it through the
+functional VM, and compares two register-cache policies on its trace.
+The prepackaged SPECint-like kernels go through the same path
+(``repro.load_trace``).
 
 Usage::
 
     python examples/custom_workload.py
 """
 
-from repro import assemble, lru_config, run_program, simulate, use_based_config
-from repro.workloads.synthetic import SyntheticSpec, generate
+from repro import Machine, assemble, lru_config, simulate, use_based_config
 
 DOT_PRODUCT = """
 # dot product of two 64-element vectors, two lanes
@@ -60,9 +57,6 @@ def describe(label, stats) -> None:
 
 
 def main() -> None:
-    # 1. Hand-written assembly through the VM.
-    from repro.vm.machine import Machine
-
     program = assemble(DOT_PRODUCT, name="dot_product")
     machine = Machine(program)
     trace = machine.run()
@@ -72,20 +66,6 @@ def main() -> None:
     print("policy comparison on the custom kernel:")
     describe("use-based", simulate(trace, use_based_config()))
     describe("lru", simulate(trace, lru_config()))
-
-    # 2. A statistical trace with an aggressive multi-use distribution.
-    print()
-    print("synthetic trace, heavy value reuse:")
-    spec = SyntheticSpec(
-        length=8_000,
-        degree_weights=(0.05, 0.45, 0.25, 0.15, 0.10),
-        high_use_fraction=0.05,
-        seed=2024,
-        name="synthetic-reuse",
-    )
-    synthetic = generate(spec)
-    describe("use-based", simulate(synthetic, use_based_config()))
-    describe("lru", simulate(synthetic, lru_config()))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ _EXPORTS = {
     "SimStats": "repro.core.stats",
     "Trace": "repro.vm.trace",
     "assemble": "repro.isa.assembler",
-    "load_suite": "repro.workloads.suite",
     "load_trace": "repro.workloads.suite",
     "lru_config": "repro.core.config",
     "mean_ipc": "repro.core.simulator",

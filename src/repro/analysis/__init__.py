@@ -1,4 +1,4 @@
-"""Experiment harness: engine, metrics, sweeps, reports, artifacts.
+"""Experiment harness: engine, sweeps, reports, artifacts.
 
 :data:`EXPERIMENTS` is resolved on first access rather than imported
 here, so ``python -m repro.analysis.experiments`` runs that module
@@ -12,23 +12,19 @@ from repro.analysis.engine import (
     configure,
     get_engine,
 )
-from repro.analysis.metrics import CacheMetricsRow, aggregate_cache_metrics
-from repro.analysis.report import ExperimentResult, render, render_all
+from repro.analysis.report import ExperimentResult, render
 from repro.analysis.sweeps import load_traces, run_config, sweep
 
 __all__ = [
-    "CacheMetricsRow",
     "EXPERIMENTS",
     "ExperimentEngine",
     "ExperimentResult",
     "JobFailure",
     "SimJob",
-    "aggregate_cache_metrics",
     "configure",
     "get_engine",
     "load_traces",
     "render",
-    "render_all",
     "run_config",
     "sweep",
 ]

@@ -71,8 +71,8 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   every run appends per-job records — job identity, config hash, trace
   provenance, cache hit/miss, wall-clock, worker pid, failure
   traceback — to a JSONL manifest under the cache directory
-  (:mod:`repro.obs.manifest`), which ``python -m repro.analysis.obs
-  summarize`` rolls up.
+  (:mod:`repro.obs.manifest`), closed by one ``run`` record of totals
+  that is written even when the run is interrupted.
 
 Environment knobs (read when the shared engine is created):
 
@@ -472,103 +472,108 @@ class ExperimentEngine:
             self.manifest.append_all(prelude)
 
         failures: list[JobFailure] = []
-        repairs = 0
-        if pending:
-            repairs_before = trace_counters().repairs
-            pending_jobs = [jobs[index] for index in pending]
-            hit_rate = (
-                f"{counters.cache_hits}/{counters.jobs}"
-                if counters.jobs else "0/0"
-            )
-            progress = ProgressReporter(
-                total=len(pending), logger=_log,
-                label=f"run {run_id}",
-            )
-            outcomes = self._execute_pending(pending_jobs, workers, progress)
-            for local_index, outcome in outcomes:
-                index = pending[local_index]
-                job = jobs[index]
-                status, payload, wall, worker = outcome
-                counters.record_job(wall)
-                if status == "ok":
-                    entry, problem = self._validate_result(payload, keys[index])
-                    if problem is not None:
-                        status, payload = "invalid", problem
-                if status == "ok":
-                    if table is not None and keys[index] is not None:
-                        table[keys[index]] = payload
-                        self._cache_store(keys[index], entry)
-                    results[index] = payload
-                    error = None
-                else:
-                    counters.errors += 1
-                    failure = JobFailure(job=job, error=payload, kind=status)
-                    failures.append(failure)
-                    results[index] = failure
-                    error = payload
-                    _log.warning(
-                        "run %s: job %s failed (%s) on worker %s",
-                        run_id, job.describe(), status, worker,
-                    )
-                if self.manifest is not None:
-                    self.manifest.append(
-                        self._manifest_record(
-                            run_id, job, keys[index], cached=False,
-                            status=status, wall=wall, worker=worker,
-                            error=error,
+        executed = 0
+        repairs_before = trace_counters().repairs
+        try:
+            if pending:
+                pending_jobs = [jobs[index] for index in pending]
+                hit_rate = (
+                    f"{counters.cache_hits}/{counters.jobs}"
+                    if counters.jobs else "0/0"
+                )
+                progress = ProgressReporter(
+                    total=len(pending), logger=_log,
+                    label=f"run {run_id}",
+                )
+                outcomes = self._execute_pending(pending_jobs, workers, progress)
+                for local_index, outcome in outcomes:
+                    index = pending[local_index]
+                    job = jobs[index]
+                    status, payload, wall, worker = outcome
+                    executed += 1
+                    counters.record_job(wall)
+                    if status == "ok":
+                        entry, problem = self._validate_result(payload, keys[index])
+                        if problem is not None:
+                            status, payload = "invalid", problem
+                    if status == "ok":
+                        if table is not None and keys[index] is not None:
+                            table[keys[index]] = payload
+                            self._cache_store(keys[index], entry)
+                        results[index] = payload
+                        error = None
+                    else:
+                        counters.errors += 1
+                        failure = JobFailure(job=job, error=payload, kind=status)
+                        failures.append(failure)
+                        results[index] = failure
+                        error = payload
+                        _log.warning(
+                            "run %s: job %s failed (%s) on worker %s",
+                            run_id, job.describe(), status, worker,
                         )
+                    if self.manifest is not None:
+                        self.manifest.append(
+                            self._manifest_record(
+                                run_id, job, keys[index], cached=False,
+                                status=status, wall=wall, worker=worker,
+                                error=error,
+                            )
+                        )
+                _log.info(
+                    "run %s: done, cumulative cache hits %s, errors %d",
+                    run_id, hit_rate, len(failures),
+                )
+
+            # Slots whose key an earlier slot of this call executed: a
+            # result is the cache hit a later call would have had, a failure
+            # is the same hole (nothing was cached, so it would have re-run).
+            for index, first in waiting:
+                job, outcome = jobs[index], results[first]
+                if outcome:
+                    hits += 1
+                    counters.cache_hits += 1
+                    record = self._manifest_record(
+                        run_id, job, keys[index], cached=True,
+                        status="ok", wall=0.0, worker=None,
                     )
-            repairs = trace_counters().repairs - repairs_before
-            _log.info(
-                "run %s: done, cumulative cache hits %s, errors %d",
-                run_id, hit_rate, len(failures),
-            )
-
-        # Slots whose key an earlier slot of this call executed: a
-        # result is the cache hit a later call would have had, a failure
-        # is the same hole (nothing was cached, so it would have re-run).
-        for index, first in waiting:
-            job, outcome = jobs[index], results[first]
-            if outcome:
-                hits += 1
-                counters.cache_hits += 1
-                record = self._manifest_record(
-                    run_id, job, keys[index], cached=True,
-                    status="ok", wall=0.0, worker=None,
+                else:
+                    counters.cache_misses += 1
+                    counters.errors += 1
+                    failures.append(outcome)
+                    record = self._manifest_record(
+                        run_id, job, keys[index], cached=False,
+                        status=outcome.kind, wall=0.0, worker=None,
+                        error=outcome.error,
+                    )
+                results[index] = outcome
+                if self.manifest is not None:
+                    self.manifest.append(record)
+        finally:
+            # An interrupted run still counts its time and closes its
+            # manifest with the totals of the jobs it finished.
+            engine_wall = time.perf_counter() - start
+            counters.engine_seconds += engine_wall
+            if self.manifest is not None and jobs:
+                refused = self.manifest.write_failures - refused_before
+                self.manifest.append({
+                    "kind": "run",
+                    "run": run_id,
+                    "ts": round(time.time(), 3),
+                    "jobs": len(jobs),
+                    "cached": hits,
+                    "executed": executed,
+                    "errors": len(failures),
+                    "workers": self.workers,
+                    "engine_seconds": round(engine_wall, 6),
+                    "trace_cache_repairs": (
+                        trace_counters().repairs - repairs_before
+                    ),
+                    "manifest_write_failures": refused,
+                })
+                counters.manifest_write_failures += (
+                    self.manifest.write_failures - refused_before
                 )
-            else:
-                counters.cache_misses += 1
-                counters.errors += 1
-                failures.append(outcome)
-                record = self._manifest_record(
-                    run_id, job, keys[index], cached=False,
-                    status=outcome.kind, wall=0.0, worker=None,
-                    error=outcome.error,
-                )
-            results[index] = outcome
-            if self.manifest is not None:
-                self.manifest.append(record)
-
-        engine_wall = time.perf_counter() - start
-        counters.engine_seconds += engine_wall
-        if self.manifest is not None and jobs:
-            refused = self.manifest.write_failures - refused_before
-            self.manifest.append({
-                "kind": "run",
-                "run": run_id,
-                "ts": round(time.time(), 3),
-                "jobs": len(jobs),
-                "cached": hits,
-                "executed": len(pending),
-                "errors": len(failures),
-                "workers": self.workers,
-                "engine_seconds": round(engine_wall, 6),
-                "trace_cache_repairs": repairs,
-                "manifest_write_failures": refused,
-            })
-            counters.manifest_write_failures += (
-                self.manifest.write_failures - refused_before
-            )
         self.failure_log.extend(failures)
         if failures and raise_on_error:
             first = failures[0]

@@ -6,7 +6,8 @@ suite, returning an :class:`~repro.analysis.report.ExperimentResult`.
 
 Environment knobs (read once at call time, not import time):
 
-* ``REPRO_SCALE`` — workload scale factor (unset or blank = 0.3).
+* ``REPRO_SCALE`` — workload scale factor, finite and positive (unset or
+  blank = 0.3).
   Larger values lengthen every benchmark trace proportionally.
 * ``REPRO_SUITE`` — ``full`` (default) or ``short`` (four benchmarks,
   for quick sweeps).
@@ -23,13 +24,13 @@ The CLI checks every result against the paper's qualitative shapes
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 import traceback
 from collections.abc import Iterable
 
 from repro.analysis.engine import _env_number, get_engine
-from repro.analysis.metrics import aggregate_cache_metrics
 from repro.analysis.report import ExperimentResult, render
 from repro.analysis.sweeps import load_traces, run_config, sweep
 from repro.core.config import (
@@ -48,6 +49,7 @@ from repro.core.lifetimes import (
     phase_summary,
 )
 from repro.core.simulator import mean_ipc
+from repro.core.stats import SimStats
 from repro.workloads.suite import DEFAULT_SUITE, SHORT_SUITE, trace_counters
 
 
@@ -100,8 +102,39 @@ def _present(results: dict) -> dict:
     return {name: stats for name, stats in results.items() if stats}
 
 
+def aggregate_cache_metrics(results: dict) -> SimStats:
+    """Pool one suite's register-cache runs into one :class:`SimStats`.
+
+    Counters add before any ratio is formed (:meth:`SimStats.merge`), so
+    the rates read off the pooled record (``cache.miss_rate``,
+    ``cache_read_bandwidth``, ...) weight each benchmark by its
+    activity, as the paper's Figures 8-10 and Table 2 do. Failed-job
+    holes are skipped.
+
+    Raises:
+        ValueError: if every slot is a hole, or a result has no
+            register cache.
+    """
+    runs = list(_present(results).values())
+    if not runs:
+        raise ValueError("no results to aggregate")
+    for stats in runs:
+        if stats.cache is None:
+            raise ValueError(f"{stats.benchmark}: no register cache")
+    return SimStats.merge(runs)
+
+
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < math.inf:  # also false for nan
+        raise ValueError(raw)
+    return value
+
+
 def _scale() -> float:
-    return _env_number("REPRO_SCALE", float, 0.3, "a scale factor")
+    return _env_number(
+        "REPRO_SCALE", _positive_float, 0.3, "a finite positive scale factor",
+    )
 
 
 _SUITES = {"full": DEFAULT_SUITE, "short": SHORT_SUITE}
@@ -273,12 +306,9 @@ def fig7_indexing(
         row: list[object] = [policy]
         for assoc in assocs:
             results = grid[policy, assoc]
-            conflicts = sum(
-                s.cache.misses["conflict"]
-                for s in _present(results).values()
-            )
+            pooled = aggregate_cache_metrics(results)
             row.append(mean_ipc(results))
-            row.append(conflicts)
+            row.append(pooled.cache.misses["conflict"])
         rows.append(row)
     headers = ["policy"]
     for assoc in assocs:
@@ -316,11 +346,12 @@ def fig8_miss_breakdown(scale: float | None = None) -> ExperimentResult:
         )
     rows = []
     for (scheme, label), results in sweep(traces, configs).items():
-        metrics = aggregate_cache_metrics(scheme, results)
+        cache = aggregate_cache_metrics(results).cache
         rows.append([
-            scheme, label, metrics.miss_filtered,
-            metrics.miss_capacity, metrics.miss_conflict,
-            metrics.miss_rate,
+            scheme, label,
+            *(cache.misses[cause] / cache.reads
+              for cause in ("filtered", "capacity", "conflict")),
+            cache.miss_rate,
         ])
     return ExperimentResult(
         experiment_id="fig8",
@@ -344,10 +375,10 @@ def fig9_bandwidth(scale: float | None = None) -> ExperimentResult:
     traces = _traces(scale)
     rows = []
     for scheme, results in sweep(traces, _scheme_configs()).items():
-        metrics = aggregate_cache_metrics(scheme, results)
+        pooled = aggregate_cache_metrics(results)
         rows.append([
-            scheme, metrics.cache_read_bw, metrics.cache_write_bw,
-            metrics.rf_read_bw, metrics.rf_write_bw,
+            scheme, pooled.cache_read_bandwidth, pooled.cache_write_bandwidth,
+            pooled.rf_read_bandwidth, pooled.rf_write_bandwidth,
         ])
     return ExperimentResult(
         experiment_id="fig9",
@@ -368,10 +399,10 @@ def fig10_filtering(scale: float | None = None) -> ExperimentResult:
     traces = _traces(scale)
     rows = []
     for scheme, results in sweep(traces, _scheme_configs()).items():
-        metrics = aggregate_cache_metrics(scheme, results)
+        cache = aggregate_cache_metrics(results).cache
         rows.append([
-            scheme, metrics.never_read_fraction,
-            metrics.filtered_write_fraction, metrics.never_cached_fraction,
+            scheme, cache.never_read_fraction,
+            cache.filtered_write_fraction, cache.never_cached_fraction,
         ])
     return ExperimentResult(
         experiment_id="fig10",
@@ -393,10 +424,11 @@ def table2_metrics(scale: float | None = None) -> ExperimentResult:
     traces = _traces(scale)
     rows = []
     for scheme, results in sweep(traces, _scheme_configs()).items():
-        metrics = aggregate_cache_metrics(scheme, results)
+        pooled = aggregate_cache_metrics(results)
+        cache = pooled.cache
         rows.append([
-            scheme, metrics.reads_per_cached_value, metrics.cache_count,
-            metrics.occupancy, metrics.entry_lifetime,
+            scheme, cache.reads_per_cached_value, cache.cache_count,
+            cache.average_occupancy(pooled.cycles), cache.average_lifetime,
         ])
     return ExperimentResult(
         experiment_id="table2",
@@ -526,8 +558,8 @@ def tuning_max_use(
         max_use: use_based_config(max_use=max_use) for max_use in values
     })
     for max_use, results in grid.items():
-        metrics = aggregate_cache_metrics("use_based", results)
-        rows.append([max_use, mean_ipc(results), metrics.miss_rate])
+        cache = aggregate_cache_metrics(results).cache
+        rows.append([max_use, mean_ipc(results), cache.miss_rate])
     return ExperimentResult(
         experiment_id="tuning_max_use",
         title="Maximum representable use count",
@@ -572,27 +604,24 @@ def tuning_defaults(
     )
 
 
+def _coverage(stats: SimStats) -> float:
+    """Fraction of predictor queries that supplied a prediction."""
+    if not stats.predictor_queries:
+        return 0.0
+    return stats.predictor_supplied / stats.predictor_queries
+
+
 @_with_engine_meta
 def predictor_accuracy(scale: float | None = None) -> ExperimentResult:
     """Degree-of-use predictor accuracy and coverage (§3.3)."""
     traces = _traces(scale)
     results = _present(run_config(traces, use_based_config()))
-    rows = []
-    total_supplied = total_correct = total_queries = 0
-    for name, stats in results.items():
-        coverage = (
-            stats.predictor_supplied / stats.predictor_queries
-            if stats.predictor_queries else 0.0
-        )
-        rows.append([name, stats.predictor_accuracy, coverage])
-        total_supplied += stats.predictor_supplied
-        total_correct += stats.predictor_correct
-        total_queries += stats.predictor_queries
-    rows.append([
-        "ALL",
-        total_correct / total_supplied if total_supplied else 0.0,
-        total_supplied / total_queries if total_queries else 0.0,
-    ])
+    rows = [
+        [name, stats.predictor_accuracy, _coverage(stats)]
+        for name, stats in results.items()
+    ]
+    pooled = SimStats.merge(results.values())
+    rows.append(["ALL", pooled.predictor_accuracy, _coverage(pooled)])
     return ExperimentResult(
         experiment_id="predictor",
         title="Degree-of-use predictor accuracy / coverage",
@@ -623,16 +652,10 @@ def incorrect_use_info(
         for noise in noise_levels
     })
     for noise, results in grid.items():
-        metrics = aggregate_cache_metrics("use_based", results)
-        accuracy_num = sum(
-            s.predictor_correct for s in _present(results).values()
-        )
-        accuracy_den = max(
-            1, sum(s.predictor_supplied for s in _present(results).values())
-        )
+        pooled = aggregate_cache_metrics(results)
         rows.append([
-            noise, mean_ipc(results), metrics.miss_rate,
-            accuracy_num / accuracy_den,
+            noise, mean_ipc(results), pooled.cache.miss_rate,
+            pooled.predictor_accuracy,
         ])
     return ExperimentResult(
         experiment_id="s34_noise",
@@ -694,8 +717,8 @@ def ablations(scale: float | None = None) -> ExperimentResult:
     }
     rows = []
     for label, results in sweep(traces, variants).items():
-        metrics = aggregate_cache_metrics(label, results)
-        rows.append([label, mean_ipc(results), metrics.miss_rate])
+        cache = aggregate_cache_metrics(results).cache
+        rows.append([label, mean_ipc(results), cache.miss_rate])
     return ExperimentResult(
         experiment_id="ablations",
         title="Use-based design ablations (64-entry 2-way)",

@@ -115,11 +115,6 @@ def render(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def render_all(results: list[ExperimentResult]) -> str:
-    """Render several experiments separated by blank lines."""
-    return "\n\n".join(render(result) for result in results)
-
-
 def to_json(result: ExperimentResult) -> str:
     """Serialize an experiment result as JSON.
 

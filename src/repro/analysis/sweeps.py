@@ -14,7 +14,7 @@ falsy :class:`~repro.analysis.engine.JobFailure` in that result slot —
 rather than raising, so one bad benchmark costs one point of one curve
 instead of the whole figure. Downstream aggregation
 (:func:`~repro.core.simulator.mean_ipc`,
-:func:`~repro.analysis.metrics.aggregate_cache_metrics`) skips the
+:func:`~repro.analysis.experiments.aggregate_cache_metrics`) skips the
 holes, and the experiment CLI reports them with exit code 3.
 """
 

@@ -112,8 +112,9 @@ class MachineConfig:
     l2_latency: int = 12
     memory_latency: int = 180
 
-    # Diagnostics: keep per-instruction issue/execute timestamps on the
-    # pipeline (``Pipeline.issue_log``) for tests and debugging.
+    # Keep per-instruction issue/execute timestamps on the pipeline
+    # (``Pipeline.issue_log``) for the dataflow-timing checks of
+    # ``repro.testing.validate``.
     record_timing: bool = False
 
     # Log four ints per physical-register allocation into

@@ -186,13 +186,8 @@ class CacheStats:
         """
         merged = cls()
         for part in parts:
-            for spec in dataclasses.fields(cls):
-                if spec.name == "misses":
-                    continue
-                setattr(
-                    merged, spec.name,
-                    getattr(merged, spec.name) + getattr(part, spec.name),
-                )
+            for name in _CACHE_COUNTERS:
+                setattr(merged, name, getattr(merged, name) + getattr(part, name))
             for cause, count in part.misses.items():
                 merged.misses[cause] = merged.misses.get(cause, 0) + count
         return merged
@@ -201,6 +196,8 @@ class CacheStats:
 _CACHE_NAMES = tuple(spec.name for spec in dataclasses.fields(CacheStats))
 _CACHE_WIDTH = len(_CACHE_NAMES)
 _MISSES_INDEX = _CACHE_NAMES.index("misses")
+#: The fields :meth:`CacheStats.merge` adds (all but the miss dict).
+_CACHE_COUNTERS = tuple(name for name in _CACHE_NAMES if name != "misses")
 _cache_fields = attrgetter(*_CACHE_NAMES)
 
 
@@ -346,13 +343,8 @@ class SimStats:
                 schemes.append(stats.scheme)
             if stats.cache is not None:
                 caches.append(stats.cache)
-            for spec in dataclasses.fields(cls):
-                if spec.name in ("benchmark", "scheme", "cache", "lifetimes"):
-                    continue
-                setattr(
-                    merged, spec.name,
-                    getattr(merged, spec.name) + getattr(stats, spec.name),
-                )
+            for name in _SIMSTATS_COUNTERS:
+                setattr(merged, name, getattr(merged, name) + getattr(stats, name))
             if stats.lifetimes is None:
                 merged.lifetimes = None
             elif merged.lifetimes is not None:
@@ -439,6 +431,11 @@ _SIMSTATS_NAMES = tuple(spec.name for spec in dataclasses.fields(SimStats))
 _SIMSTATS_WIDTH = len(_SIMSTATS_NAMES)
 _CACHE_INDEX = _SIMSTATS_NAMES.index("cache")
 _LIFETIMES_INDEX = _SIMSTATS_NAMES.index("lifetimes")
+#: The integer counters :meth:`SimStats.merge` adds.
+_SIMSTATS_COUNTERS = tuple(
+    name for name in _SIMSTATS_NAMES
+    if name not in ("benchmark", "scheme", "cache", "lifetimes")
+)
 _simstats_fields = attrgetter(*_SIMSTATS_NAMES)
 
 

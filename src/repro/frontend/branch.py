@@ -17,28 +17,6 @@ is instantiated for every simulation run, so construction cost matters.
 from __future__ import annotations
 
 
-class SaturatingCounter:
-    """An n-bit saturating counter (kept for tests and small uses)."""
-
-    __slots__ = ("value", "maximum")
-
-    def __init__(self, bits: int = 2, initial: int | None = None) -> None:
-        self.maximum = (1 << bits) - 1
-        self.value = (self.maximum + 1) // 2 if initial is None else initial
-
-    def taken(self) -> bool:
-        """Predicted direction encoded by this counter."""
-        return self.value > self.maximum // 2
-
-    def update(self, outcome: bool) -> None:
-        """Strengthen or weaken toward *outcome*."""
-        if outcome:
-            if self.value < self.maximum:
-                self.value += 1
-        elif self.value > 0:
-            self.value -= 1
-
-
 class BimodalPredictor:
     """Classic per-pc 2-bit counter table."""
 

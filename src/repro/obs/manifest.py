@@ -126,40 +126,3 @@ def read_manifest(path: str | os.PathLike) -> list[dict]:
     except OSError:
         return []
     return records
-
-
-def summarize_manifest(records: list[dict]) -> dict:
-    """Roll a manifest up into one flat summary dict.
-
-    Returns job counts, cache hit/miss totals, failure records, and
-    wall-clock aggregates (total / p50 / p95) for the executed jobs.
-    """
-    jobs = [r for r in records if r.get("kind") == "job"]
-    failures = [
-        {
-            "job": record.get("job", "?"),
-            "run": record.get("run", ""),
-            "error": record.get("error") or "",
-        }
-        for record in jobs
-        if record.get("status") not in ("ok", None)
-    ]
-    walls = [
-        float(record.get("wall", 0.0))
-        for record in jobs
-        if not record.get("cached")
-    ]
-    return {
-        "kind": "manifest_summary",
-        "jobs": len(jobs),
-        "runs": len({r.get("run") for r in jobs}),
-        "ok": sum(1 for r in jobs if r.get("status") == "ok"),
-        "errors": len(failures),
-        "cache_hits": sum(1 for r in jobs if r.get("cached")),
-        "cache_misses": sum(1 for r in jobs if not r.get("cached")),
-        "wall_seconds": round(sum(walls), 6),
-        "wall_p50": round(percentile(walls, 0.50), 6),
-        "wall_p95": round(percentile(walls, 0.95), 6),
-        "failures": failures,
-    }
-

@@ -416,8 +416,9 @@ def pack_trace(trace: Trace, analysis: TraceAnalysis | None = None) -> bytes:
     """Serialize *trace* (and optionally its analysis) to bytes.
 
     Raises:
-        ValueError: if the trace cannot be packed (e.g. synthetic records
-            whose values fall outside the VM's canonical signed-64 range).
+        ValueError: if the trace cannot be packed (e.g. hand-built
+            records whose values fall outside the VM's canonical
+            signed-64 range).
     """
     records = trace.records
     try:

@@ -31,7 +31,6 @@ import random
 _BASE_A = 0x1000
 _BASE_B = 0x9000
 _BASE_C = 0x11000
-_BASE_D = 0x19000
 
 
 def _data_section(base: int, values: list[int], per_line: int = 16) -> str:
@@ -560,156 +559,8 @@ outer:{body}
 """
 
 
-def bitpack(scale: float = 1.0, seed: int = 37) -> str:
-    """gzip-like variable-length bit packing.
-
-    Encodes a stream of symbols into a bit buffer using per-symbol code
-    lengths (shift/or sequences with a serial bit-position dependence,
-    broken into two independent output streams for ILP).
-    """
-    rng = random.Random(seed)
-    count = max(64, int(1100 * scale))
-    count -= count % 2
-    # Symbols and code lengths (3..9 bits), Huffman-ish skew.
-    symbols = []
-    lengths = []
-    for _ in range(count):
-        if rng.random() < 0.6:
-            lengths.append(rng.randrange(3, 6))
-        else:
-            lengths.append(rng.randrange(6, 10))
-        symbols.append(rng.randrange(1 << lengths[-1]))
-    interleaved = []
-    for symbol, length in zip(symbols, lengths):
-        interleaved.append(symbol)
-        interleaved.append(length)
-    return f"""
-# bitpack: variable-length bit packing (gzip-like), two output streams
-main:
-    addi r2, r0, {_BASE_A}      # (symbol, length) pairs
-    addi r3, r0, {count}
-    addi r5, r0, 0              # pair index
-    addi r16, r0, 0             # stream A bit buffer
-    addi r17, r0, 0             # stream A bit position
-    addi r26, r0, 0             # stream B bit buffer
-    addi r27, r0, 0             # stream B bit position
-    addi r14, r0, 63            # position mask
-pack:
-    slli r6, r5, 1
-    add  r7, r2, r6
-    lw   r8, 0(r7)              # symbol A
-    lw   r9, 1(r7)              # length A
-    sll  r10, r8, r17
-    xor  r16, r16, r10
-    add  r17, r17, r9
-    and  r17, r17, r14
-    addi r20, r5, 1
-    slli r21, r20, 1
-    add  r22, r2, r21
-    lw   r23, 0(r22)            # symbol B
-    lw   r24, 1(r22)            # length B
-    sll  r25, r23, r27
-    xor  r26, r26, r25
-    add  r27, r27, r24
-    and  r27, r27, r14
-    addi r5, r5, 2
-    bne  r5, r3, pack
-    xor  r16, r16, r26
-    out  r16
-    halt
-{_data_section(_BASE_A, interleaved)}
-"""
-
-
-def tree_walk(scale: float = 1.0, seed: int = 41) -> str:
-    """vortex-like binary search tree lookups.
-
-    The tree is laid out as (key, left, right) triples; each lookup is a
-    serial pointer chase with data-dependent branches, and two lookups
-    proceed in parallel for memory-level parallelism.
-    """
-    rng = random.Random(seed)
-    num_keys = max(64, int(1200 * scale))
-    lookups = max(64, int(500 * scale))
-    lookups -= lookups % 2
-    keys = rng.sample(range(1, 1 << 20), num_keys)
-    # Build a balanced BST over sorted keys; node i at base + 3i.
-    nodes: list[tuple[int, int, int]] = []
-
-    def build(sorted_keys):
-        if not sorted_keys:
-            return 0  # null pointer
-        mid = len(sorted_keys) // 2
-        index = len(nodes)
-        nodes.append((sorted_keys[mid], 0, 0))
-        left = build(sorted_keys[:mid])
-        right = build(sorted_keys[mid + 1:])
-        nodes[index] = (sorted_keys[mid], left, right)
-        return _BASE_A + 3 * index
-
-    root = build(sorted(keys))
-    node_words: list[int] = []
-    for key, left, right in nodes:
-        node_words.extend((key, left, right))
-    # Half the probes hit, half miss.
-    probes = [
-        rng.choice(keys) if rng.random() < 0.5
-        else rng.randrange(1, 1 << 20)
-        for _ in range(lookups)
-    ]
-    return f"""
-# tree_walk: binary-search-tree lookups, two in flight
-main:
-    addi r2, r0, {_BASE_C}      # probe array
-    addi r3, r0, {lookups}
-    addi r4, r0, {root}
-    addi r5, r0, 0              # probe index
-    addi r14, r0, 0             # hits
-lookup:
-    add  r6, r2, r5
-    lw   r7, 0(r6)              # probe key A
-    lw   r17, 1(r6)             # probe key B
-    mov  r8, r4                 # node pointer A
-    mov  r18, r4                # node pointer B
-downA:
-    beq  r8, r0, missA
-    lw   r9, 0(r8)              # node key
-    beq  r9, r7, hitA
-    blt  r7, r9, leftA
-    lw   r8, 2(r8)              # right child
-    beq  r0, r0, downA
-leftA:
-    lw   r8, 1(r8)              # left child
-    beq  r0, r0, downA
-hitA:
-    addi r14, r14, 1
-missA:
-downB:
-    beq  r18, r0, missB
-    lw   r19, 0(r18)
-    beq  r19, r17, hitB
-    blt  r17, r19, leftB
-    lw   r18, 2(r18)
-    beq  r0, r0, downB
-leftB:
-    lw   r18, 1(r18)
-    beq  r0, r0, downB
-hitB:
-    addi r14, r14, 1
-missB:
-    addi r5, r5, 2
-    bne  r5, r3, lookup
-    out  r14
-    halt
-{_data_section(_BASE_A, node_words)}
-{_data_section(_BASE_C, probes)}
-"""
-
-
 #: All kernel builders, keyed by benchmark name. Order matches the
-#: presentation order used in EXPERIMENTS.md. The first eight form
-#: DEFAULT_SUITE (the experiment workloads); bitpack and tree_walk are
-#: extra workloads available by name.
+#: presentation order used in EXPERIMENTS.md and DEFAULT_SUITE.
 KERNELS = {
     "pointer_chase": pointer_chase,
     "compress": compress,
@@ -719,6 +570,4 @@ KERNELS = {
     "interp": interp,
     "crc": crc,
     "strmatch": strmatch,
-    "bitpack": bitpack,
-    "tree_walk": tree_walk,
 }

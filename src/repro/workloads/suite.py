@@ -61,9 +61,8 @@ def __getattr__(name: str):
         return run_program
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-#: Default suite used by the experiment harness (the eight primary
-#: kernels; ``bitpack`` and ``tree_walk`` are extra workloads available
-#: by name via :func:`load_trace`).
+#: Default suite used by the experiment harness: every kernel in
+#: :data:`repro.workloads.kernels.KERNELS`.
 DEFAULT_SUITE = (
     "pointer_chase", "compress", "hash_dict", "sort",
     "graph_walk", "interp", "crc", "strmatch",
@@ -71,13 +70,6 @@ DEFAULT_SUITE = (
 
 #: Short suite used by wide parameter sweeps to bound wall-clock time.
 SHORT_SUITE = ("pointer_chase", "compress", "hash_dict", "interp")
-
-
-def benchmark_names() -> tuple[str, ...]:
-    """Names of all available benchmarks."""
-    from repro.workloads.kernels import KERNELS
-
-    return tuple(KERNELS)
 
 
 def build_program(name: str, scale: float = 1.0, seed: int | None = None) -> Program:
@@ -265,18 +257,3 @@ load_trace.cache_info = _memo_trace.cache_info
 def clear_trace_memo() -> None:
     """Drop the in-process trace memo (tests and cache experiments)."""
     _memo_trace.cache_clear()
-
-
-def load_suite(
-    names: tuple[str, ...] = DEFAULT_SUITE, scale: float = 1.0
-) -> dict[str, Trace]:
-    """Load traces for a set of benchmarks.
-
-    Args:
-        names: benchmark names (defaults to the full suite).
-        scale: instruction-count multiplier applied to each kernel.
-
-    Returns:
-        Mapping of benchmark name to committed trace, in *names* order.
-    """
-    return {name: load_trace(name, scale=scale) for name in names}

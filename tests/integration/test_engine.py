@@ -588,6 +588,24 @@ def test_worker_crash_is_a_hole_the_next_run_fills(tmp_path, monkeypatch):
     assert engine.counters.executed == 3
 
 
+def test_interrupted_run_still_closes_its_manifest(tmp_path, monkeypatch):
+    """Ctrl-C at the third of three jobs: the two finished jobs, the
+    run record and the engine's time are all kept."""
+    jobs = [
+        SimJob(config=use_based_config(), trace_name=name, scale=SCALE)
+        for name in TRACES
+    ]
+    arm(monkeypatch, "interrupt", [jobs[2]])
+    engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        engine.run(jobs)
+    records = read_manifest(engine.manifest.path)
+    assert [r["kind"] for r in records] == ["job", "job", "run"]
+    run = records[-1]
+    assert (run["jobs"], run["cached"], run["executed"]) == (3, 0, 2)
+    assert engine.counters.engine_seconds > 0
+
+
 def test_no_table_without_cache(tmp_path):
     """With the cache off every run executes and nothing is retained."""
     engine = ExperimentEngine(workers=1, cache_dir=tmp_path, use_cache=False)

@@ -8,41 +8,30 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
+#: Every example: the arguments it runs with, and phrases its output
+#: must contain.
+RUNS = {
+    "compare_schemes.py": (
+        ["32", "0.12"], ("use-based cache", "monolithic RF, 3 cycles"),
+    ),
+    "custom_workload.py": ([], ("dot_product",)),
+    "lifetime_analysis.py": (["0.12"], ("allocated", "live")),
+    "quickstart.py": (["0.12"], ("register cache", "IPC")),
+}
 
-def run_example(name, argv):
-    old_argv = sys.argv
-    sys.argv = [name] + argv
-    try:
-        runpy.run_path(str(EXAMPLES / name), run_name="__main__")
-    finally:
-        sys.argv = old_argv
+
+def test_every_example_is_run():
+    assert sorted(RUNS) == sorted(p.name for p in EXAMPLES.glob("*.py"))
 
 
-def test_quickstart_runs(capsys):
-    run_example("quickstart.py", ["0.12"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_example_runs(name, capsys, monkeypatch):
+    argv, phrases = RUNS[name]
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(EXAMPLES / name), run_name="__main__")
     out = capsys.readouterr().out
-    assert "register cache" in out
-    assert "IPC" in out
-
-
-def test_compare_schemes_runs(capsys):
-    run_example("compare_schemes.py", ["32", "0.12"])
-    out = capsys.readouterr().out
-    assert "use-based cache" in out
-    assert "monolithic RF, 3 cycles" in out
-
-
-def test_lifetime_analysis_runs(capsys):
-    run_example("lifetime_analysis.py", ["0.12"])
-    out = capsys.readouterr().out
-    assert "allocated" in out and "live" in out
-
-
-def test_custom_workload_runs(capsys):
-    run_example("custom_workload.py", [])
-    out = capsys.readouterr().out
-    assert "dot_product" in out
-    assert "synthetic" in out
+    for phrase in phrases:
+        assert phrase in out
 
 
 @pytest.mark.parametrize(

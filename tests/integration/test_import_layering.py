@@ -7,18 +7,28 @@ hierarchy, the predictor or the VM, nor the kernels and the assembler
 that only decoding a cached trace needs, and it must decode no trace.
 Each check runs in a fresh interpreter, since this test process has
 long since imported them all.
+
+The other direction holds too: every library module is reached from the
+library itself, so no side tool that only tests or examples use can
+live under ``src/``.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import repro
 from repro.vm.trace import TraceAnalysis
 from repro.workloads.suite import clear_trace_memo, load_trace
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Modules nothing in the library imports by design: the experiment CLI
+#: (the artifact path's entry point) and the checks the tests run.
+ENTRY_POINTS = ("repro.analysis.experiments", "repro.testing.")
 
 #: Modules (or package prefixes, ending in ``.``) a warm process must
 #: not import.
@@ -136,3 +146,32 @@ def test_lazy_seams_resolve_to_the_timing_core_and_stay_rebindable():
     out = _run(LAZY_SEAMS, {})
     assert out["resolved"] == [True] * 4
     assert out["bound"] == [True] * 3
+
+
+def _imports(path: Path) -> set[str]:
+    """Every module an ``import`` anywhere in *path* may name."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_is_reached_from_the_library():
+    modules = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts): path
+        for path in (Path(SRC) / "repro").rglob("*.py")
+    }
+    reached = set(repro._EXPORTS.values())
+    for name, path in modules.items():
+        reached |= _imports(path) - {name}
+    orphans = sorted(
+        name for name, path in modules.items()
+        if path.stem not in ("__init__", "__main__")
+        and name not in reached
+        and not name.startswith(ENTRY_POINTS)
+    )
+    assert orphans == []

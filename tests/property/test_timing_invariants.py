@@ -18,7 +18,7 @@ from repro.core.config import (
     use_based_config,
 )
 from repro.core.pipeline import Pipeline
-from repro.core.validate import check_dataflow_timing, check_issue_bandwidth
+from repro.testing.validate import check_dataflow_timing, check_issue_bandwidth
 from repro.vm.machine import Machine
 from repro.workloads.suite import load_trace
 

@@ -1,9 +1,9 @@
-"""Unit tests for metrics aggregation, reports, and sweeps."""
+"""Unit tests for suite aggregation, reports, and sweeps."""
 
 import pytest
 
-from repro.analysis.metrics import aggregate_cache_metrics
-from repro.analysis.report import ExperimentResult, render, render_all
+from repro.analysis.experiments import aggregate_cache_metrics
+from repro.analysis.report import ExperimentResult, render
 from repro.analysis.sweeps import load_traces, run_config, sweep
 from repro.core.config import monolithic_config, use_based_config
 from repro.core.simulator import mean_ipc, simulate
@@ -16,25 +16,28 @@ def small_results(config=None):
 
 def test_aggregate_cache_metrics_basic():
     results = small_results()
-    row = aggregate_cache_metrics("use_based", results)
-    assert row.scheme == "use_based"
-    assert 0.0 <= row.miss_rate <= 1.0
-    assert row.miss_rate == pytest.approx(
-        row.miss_filtered + row.miss_conflict + row.miss_capacity, abs=1e-6
+    pooled = aggregate_cache_metrics(results)
+    cache = pooled.cache
+    assert (pooled.benchmark, pooled.scheme) == ("crc+strmatch", "register_cache")
+    assert 0.0 <= cache.miss_rate <= 1.0
+    assert cache.miss_rate == pytest.approx(
+        sum(cache.misses[cause] for cause in ("filtered", "conflict", "capacity"))
+        / cache.reads,
+        abs=1e-6,
     )
-    assert row.occupancy > 0
-    assert row.cache_read_bw > 0
+    assert cache.average_occupancy(pooled.cycles) > 0
+    assert pooled.cache_read_bandwidth > 0
 
 
 def test_aggregate_rejects_non_cache_results():
     results = small_results(monolithic_config(3))
     with pytest.raises(ValueError, match="no register cache"):
-        aggregate_cache_metrics("mono", results)
+        aggregate_cache_metrics(results)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        aggregate_cache_metrics("x", {})
+        aggregate_cache_metrics({})
 
 
 def test_sweep_runs_all_configs():
@@ -84,9 +87,3 @@ def test_render_formats_bools_and_zero():
     text = render(result)
     assert "yes" in text and " 0" in text
 
-
-def test_render_all_joins():
-    a = ExperimentResult("a", "t", ["h"], [[1]])
-    b = ExperimentResult("b", "t", ["h"], [[2]])
-    assert render(a) in render_all([a, b])
-    assert render(b) in render_all([a, b])

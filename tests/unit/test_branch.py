@@ -1,31 +1,6 @@
 """Unit tests for branch direction predictors."""
 
-from repro.frontend.branch import (
-    BimodalPredictor,
-    SaturatingCounter,
-    YagsPredictor,
-)
-
-
-def test_saturating_counter_initial_midpoint():
-    counter = SaturatingCounter(bits=2)
-    assert counter.value == 2
-    assert counter.taken()
-
-
-def test_saturating_counter_saturates_high():
-    counter = SaturatingCounter(bits=2)
-    for _ in range(10):
-        counter.update(True)
-    assert counter.value == 3
-
-
-def test_saturating_counter_saturates_low():
-    counter = SaturatingCounter(bits=2)
-    for _ in range(10):
-        counter.update(False)
-    assert counter.value == 0
-    assert not counter.taken()
+from repro.frontend.branch import BimodalPredictor, YagsPredictor
 
 
 def test_bimodal_learns_bias():

@@ -60,9 +60,10 @@ def test_suite_typo_is_rejected(monkeypatch):
         experiments_mod._names()
 
 
-def test_scale_typo_names_the_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "abc")
-    with pytest.raises(ValueError, match="REPRO_SCALE='abc'"):
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
+def test_scale_typo_names_the_knob(monkeypatch, value):
+    monkeypatch.setenv("REPRO_SCALE", value)
+    with pytest.raises(ValueError, match=f"REPRO_SCALE='{value}'"):
         experiments_mod._scale()
 
 

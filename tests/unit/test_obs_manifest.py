@@ -1,4 +1,4 @@
-"""Unit tests for JSONL run manifests (write, read, summarize)."""
+"""Unit tests for JSONL run manifests (write, read, path resolution)."""
 
 from repro.obs.manifest import (
     MANIFEST_NAME,
@@ -6,7 +6,6 @@ from repro.obs.manifest import (
     manifest_path_for,
     percentile,
     read_manifest,
-    summarize_manifest,
 )
 
 
@@ -79,47 +78,10 @@ class TestPathResolution:
 
 
 class TestSummary:
-    def _records(self):
-        return [
-            {"kind": "run", "run": "r1", "jobs": 3},
-            {"kind": "job", "run": "r1", "job": "a", "status": "ok",
-             "cached": False, "wall": 1.0},
-            {"kind": "job", "run": "r1", "job": "b", "status": "ok",
-             "cached": True, "wall": 0.0},
-            {"kind": "job", "run": "r2", "job": "c", "status": "error",
-             "cached": False, "wall": 3.0, "error": "Boom\n  trace"},
-        ]
-
-    def test_summary_counts(self):
-        summary = summarize_manifest(self._records())
-        assert summary["kind"] == "manifest_summary"
-        assert summary["jobs"] == 3
-        assert summary["runs"] == 2
-        assert summary["ok"] == 2
-        assert summary["errors"] == 1
-        assert summary["cache_hits"] == 1
-        assert summary["cache_misses"] == 2
+    """The nearest-rank percentile behind the engine's p50/p95 counters."""
 
     def test_percentile_nearest_rank(self):
         assert percentile([], 0.5) == 0.0
         assert percentile([7.0], 0.95) == 7.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
         assert percentile([1.0, 2.0, 3.0], 0.5) == 2.0
-
-    def test_summary_wall_excludes_cached_jobs(self):
-        summary = summarize_manifest(self._records())
-        assert summary["wall_seconds"] == 4.0
-        assert summary["wall_p50"] == 1.0
-        assert summary["wall_p95"] == 3.0
-
-    def test_summary_failures_carry_error_text(self):
-        summary = summarize_manifest(self._records())
-        assert summary["failures"] == [
-            {"job": "c", "run": "r2", "error": "Boom\n  trace"},
-        ]
-
-    def test_summary_of_empty_manifest(self):
-        summary = summarize_manifest([])
-        assert summary["jobs"] == 0
-        assert summary["wall_p95"] == 0.0
-        assert summary["failures"] == []

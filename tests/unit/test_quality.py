@@ -12,7 +12,7 @@ from repro import errors
 PACKAGES = [
     "repro", "repro.isa", "repro.vm", "repro.workloads", "repro.frontend",
     "repro.predict", "repro.regfile", "repro.memory",
-    "repro.core", "repro.analysis",
+    "repro.core", "repro.analysis", "repro.testing",
 ]
 
 

@@ -388,9 +388,10 @@ def test_predecode_matches_interpreter_on_control_flow():
 
 def test_predecode_matches_interpreter_on_full_suite():
     """Bit-identical traces on every kernel in the registry."""
-    from repro.workloads.suite import benchmark_names, build_program
+    from repro.workloads.kernels import KERNELS
+    from repro.workloads.suite import build_program
 
-    for name in benchmark_names():
+    for name in KERNELS:
         assert_paths_identical(build_program(name, scale=0.05))
 
 
