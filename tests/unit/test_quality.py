@@ -12,18 +12,29 @@ from repro import errors
 PACKAGES = [
     "repro", "repro.isa", "repro.vm", "repro.workloads", "repro.frontend",
     "repro.predict", "repro.regfile", "repro.memory",
-    "repro.core", "repro.analysis", "repro.testing",
+    "repro.core", "repro.analysis",
 ]
+
+
+def iter_submodules(package):
+    """Yield the submodules of ``package``, descending into subpackages
+    that no ``PACKAGES`` entry walks itself (``repro.obs``, ``repro.testing``).
+    """
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name == "__main__":
+            continue
+        name = f"{package.__name__}.{info.name}"
+        module = importlib.import_module(name)
+        yield module
+        if info.ispkg and name not in PACKAGES:
+            yield from iter_submodules(module)
 
 
 def iter_modules():
     for package_name in PACKAGES:
         package = importlib.import_module(package_name)
         yield package
-        for info in pkgutil.iter_modules(package.__path__):
-            if info.name == "__main__":
-                continue
-            yield importlib.import_module(f"{package_name}.{info.name}")
+        yield from iter_submodules(package)
 
 
 @pytest.mark.parametrize(
