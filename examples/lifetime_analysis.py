@@ -15,10 +15,8 @@ import sys
 
 from repro import DEFAULT_SUITE, simulate_suite, use_based_config
 from repro.core.lifetimes import (
-    allocated_cdf,
-    concatenate_records,
-    live_cdf,
     mean_phase_summary,
+    occupancy_cdfs,
     phase_summary,
 )
 
@@ -51,11 +49,9 @@ def main() -> None:
     print(f"\nvalues are live for only {live_share:.1%} of the register "
           "lifetime -> a small cache of live values suffices")
 
-    records = concatenate_records(
+    alloc, live = occupancy_cdfs(
         [stats.lifetimes for stats in results.values()]
-    )
-    alloc = allocated_cdf(records)
-    live = live_cdf(records)
+    )[-1]
     print()
     print("simultaneously allocated vs live registers:")
     for label, cdf in (("allocated", alloc), ("live", live)):

@@ -42,10 +42,8 @@ from repro.core.config import (
     use_based_config,
 )
 from repro.core.lifetimes import (
-    allocated_cdf,
-    concatenate_records,
-    live_cdf,
     mean_phase_summary,
+    occupancy_cdfs,
     phase_summary,
 )
 from repro.core.simulator import mean_ipc
@@ -203,21 +201,13 @@ def fig2_occupancy_cdf(scale: float | None = None) -> ExperimentResult:
     results = _present(run_config(
         traces, use_based_config(record_lifetimes=True)
     ))
+    cdfs = occupancy_cdfs([stats.lifetimes for stats in results.values()])
     rows = []
-    for name, stats in results.items():
-        alloc = allocated_cdf(stats.lifetimes)
-        live = live_cdf(stats.lifetimes)
+    for name, (alloc, live) in zip([*results, "ALL"], cdfs):
         rows.append([
             name, alloc.median, alloc.percentile(0.9),
             live.median, live.percentile(0.9),
         ])
-    pooled = concatenate_records([s.lifetimes for s in results.values()])
-    alloc = allocated_cdf(pooled)
-    live = live_cdf(pooled)
-    rows.append([
-        "ALL", alloc.median, alloc.percentile(0.9),
-        live.median, live.percentile(0.9),
-    ])
     return ExperimentResult(
         experiment_id="fig2",
         title="Simultaneously allocated vs live registers (median / p90)",

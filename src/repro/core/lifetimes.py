@@ -92,7 +92,7 @@ def mean_phase_summary(per_benchmark: list[PhaseSummary]) -> PhaseSummary:
 
 def _counts_over_time(
     starts: Sequence[int], ends: Sequence[int],
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], int, int]:
     """Time-weighted histogram of concurrent intervals.
 
     Args:
@@ -101,12 +101,16 @@ def _counts_over_time(
             with ``end <= start`` are ignored.
 
     Returns:
-        List of (concurrency_level, total_cycles_at_level) pairs.
+        The (concurrency_level, total_cycles_at_level) pairs, sorted by
+        level and each with a positive weight, and the first and last
+        event times (both 0 when no interval is kept).
     """
     kept = list(map(lt, starts, ends))
     opened = Counter(compress(starts, kept))
     closed = Counter(compress(ends, kept))
     times = sorted(opened.keys() | closed.keys())
+    if not times:
+        return [], 0, 0
     zeros = repeat(0)
     # The level from each event time to the next: a running sum of
     # intervals opened minus intervals closed at each time.
@@ -117,7 +121,7 @@ def _counts_over_time(
     get = weights.get
     for level, span in zip(levels, map(sub, times[1:], times)):
         weights[level] = get(level, 0) + span
-    return sorted(weights.items())
+    return sorted(weights.items()), times[0], times[-1]
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,8 @@ class OccupancyCdf:
         return self.percentile(0.5)
 
 
-def occupancy_cdf(starts: Sequence[int], ends: Sequence[int]) -> OccupancyCdf:
-    """Build the CDF of concurrent ``[start, end)`` intervals over time."""
-    weighted = _counts_over_time(starts, ends)
+def _cdf(weighted: list[tuple[int, int]]) -> OccupancyCdf:
+    """The CDF of a sorted (level, cycles) histogram."""
     total = sum(weight for _, weight in weighted)
     if not total:
         return OccupancyCdf((0,), (1.0,))
@@ -155,34 +158,75 @@ def occupancy_cdf(starts: Sequence[int], ends: Sequence[int]) -> OccupancyCdf:
     return OccupancyCdf(tuple(levels), tuple(cumulative))
 
 
-def concatenate_records(groups: list[list[int] | None]) -> list[int]:
-    """Pool per-benchmark lifetime logs without inflating concurrency.
+def occupancy_cdf(starts: Sequence[int], ends: Sequence[int]) -> OccupancyCdf:
+    """Build the CDF of concurrent ``[start, end)`` intervals over time."""
+    return _cdf(_counts_over_time(starts, ends)[0])
 
-    Each benchmark's simulation starts at cycle 0, so naively pooling
-    their logs would overlap intervals from different runs and add
-    their concurrency levels. This shifts every group onto a disjoint
-    time range, as if the benchmarks ran back to back on one machine.
+
+def _pooled(
+    histograms: list[tuple[list[tuple[int, int]], int, int]],
+    offsets: list[int],
+) -> list[tuple[int, int]]:
+    """The histogram of several runs placed back to back.
+
+    Run *k*'s events are shifted by ``offsets[k]``. The runs then never
+    overlap, so the pooled histogram is the sum of theirs plus, at level
+    0, the idle gap from each run's last event to the next run's first.
     """
-    pooled: list[int] = []
+    weights: Counter[int] = Counter()
+    end = None
+    for (weighted, first, last), offset in zip(histograms, offsets):
+        if not weighted:
+            continue
+        if end is not None:
+            gap = offset + first - end
+            if gap < 0:
+                raise ValueError(
+                    "lifetime logs overlap when run back to back: an "
+                    "interval outlasts its log's last free"
+                )
+            if gap:
+                weights[0] += gap
+        weights.update(dict(weighted))
+        end = offset + last
+    return sorted(weights.items())
+
+
+def occupancy_cdfs(
+    logs: Sequence[list[int] | None],
+) -> list[tuple[OccupancyCdf, OccupancyCdf]]:
+    """Allocated and live register CDFs (Figure 2), per log and pooled.
+
+    Returns one ``(allocated, live)`` pair per log, in order, then the
+    pair over all logs at once (Figure 2's ALL row). A register is
+    allocated from ``alloc`` to ``free`` and its value is live from
+    ``write`` to ``last_read``; zero-length ranges (values never read)
+    count nothing.
+
+    Each benchmark's run starts at cycle 0, so naively pooling their
+    logs would overlap intervals from different runs and add their
+    concurrency levels. The pool runs them back to back instead: log
+    *k* is shifted past the logs before it, each of which takes
+    ``max(0, last free) + 1`` cycles (a log with no live interval
+    too). Each log is counted once, and the pooled histograms are
+    derived from the per-log ones (:func:`_pooled`). That is exact as
+    long as the shifted logs do not overlap, which holds for every
+    pipeline log (no time below 0, ``last_read <= free``); logs that
+    do overlap raise ``ValueError``.
+    """
+    allocated, live, offsets = [], [], []
     offset = 0
-    for group in groups:
-        group = _recorded(group)
-        pooled += map(offset.__add__, group)
-        offset += max(0, max(group[3::4], default=0)) + 1
-    return pooled
-
-
-def allocated_cdf(log: list[int] | None) -> OccupancyCdf:
-    """CDF of simultaneously *allocated* physical registers (Figure 2)."""
-    log = _recorded(log)
-    return occupancy_cdf(log[0::4], log[3::4])
-
-
-def live_cdf(log: list[int] | None) -> OccupancyCdf:
-    """CDF of simultaneously *live* values (Figure 2).
-
-    A value is live from its write until its last read; zero-length live
-    ranges (never-read values) contribute nothing.
-    """
-    log = _recorded(log)
-    return occupancy_cdf(log[1::4], log[2::4])
+    for log in logs:
+        log = _recorded(log)
+        frees = log[3::4]
+        allocated.append(_counts_over_time(log[0::4], frees))
+        live.append(_counts_over_time(log[1::4], log[2::4]))
+        offsets.append(offset)
+        offset += max(0, max(frees, default=0)) + 1
+    cdfs = [
+        (_cdf(alloc[0]), _cdf(used[0])) for alloc, used in zip(allocated, live)
+    ]
+    cdfs.append(
+        (_cdf(_pooled(allocated, offsets)), _cdf(_pooled(live, offsets)))
+    )
+    return cdfs

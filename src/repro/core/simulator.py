@@ -21,7 +21,8 @@ def simulate(trace: Trace, config: MachineConfig | None = None) -> SimStats:
     """Run the timing model on *trace* and return its statistics.
 
     Args:
-        trace: a committed-instruction trace (from the VM or synthetic).
+        trace: a committed-instruction trace (from the VM, e.g. via
+            :func:`~repro.workloads.suite.load_trace`).
         config: machine configuration; defaults to the paper's use-based
             64-entry 2-way register cache machine.
     """

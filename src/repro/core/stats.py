@@ -184,12 +184,13 @@ class CacheStats:
         Every counter adds, including per-cause miss counts, so derived
         rates on the merged record are traffic-weighted means.
         """
-        merged = cls()
+        merged = cls(**dict(zip(
+            _CACHE_COUNTERS, map(sum, zip(*map(_cache_counters, parts))),
+        )))
+        misses = merged.misses
         for part in parts:
-            for name in _CACHE_COUNTERS:
-                setattr(merged, name, getattr(merged, name) + getattr(part, name))
             for cause, count in part.misses.items():
-                merged.misses[cause] = merged.misses.get(cause, 0) + count
+                misses[cause] = misses.get(cause, 0) + count
         return merged
 
 
@@ -199,6 +200,7 @@ _MISSES_INDEX = _CACHE_NAMES.index("misses")
 #: The fields :meth:`CacheStats.merge` adds (all but the miss dict).
 _CACHE_COUNTERS = tuple(name for name in _CACHE_NAMES if name != "misses")
 _cache_fields = attrgetter(*_CACHE_NAMES)
+_cache_counters = attrgetter(*_CACHE_COUNTERS)
 
 
 @dataclass
@@ -332,7 +334,10 @@ class SimStats:
         Merging zero runs returns an empty instance (all rates 0.0).
         """
         runs = list(runs)
-        merged = cls()
+        # One tuple of counters per run, summed column by column.
+        merged = cls(**dict(zip(
+            _SIMSTATS_COUNTERS, map(sum, zip(*map(_simstats_counters, runs))),
+        )))
         benchmarks: list[str] = []
         schemes: list[str] = []
         caches = []
@@ -343,8 +348,6 @@ class SimStats:
                 schemes.append(stats.scheme)
             if stats.cache is not None:
                 caches.append(stats.cache)
-            for name in _SIMSTATS_COUNTERS:
-                setattr(merged, name, getattr(merged, name) + getattr(stats, name))
             if stats.lifetimes is None:
                 merged.lifetimes = None
             elif merged.lifetimes is not None:
@@ -437,6 +440,7 @@ _SIMSTATS_COUNTERS = tuple(
     if name not in ("benchmark", "scheme", "cache", "lifetimes")
 )
 _simstats_fields = attrgetter(*_SIMSTATS_NAMES)
+_simstats_counters = attrgetter(*_SIMSTATS_COUNTERS)
 
 
 def _simstats_from_row(row: list) -> SimStats:

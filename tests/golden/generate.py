@@ -7,6 +7,11 @@ Refactors of the timing loop must reproduce every hash; a change that
 is meant to alter simulated behaviour regenerates the file and says
 so.
 
+``tests/golden/lifetimes.json`` pins what the lifetime analyses make of
+the default-machine ``use_based`` logs: the Figure 1 and Figure 2 rows
+per kernel plus the MEAN and pooled ALL rows (:func:`lifetime_figures`).
+A refactor of :mod:`repro.core.lifetimes` must reproduce them.
+
 Regenerate with::
 
     PYTHONPATH=src python -m tests.golden.generate
@@ -19,11 +24,17 @@ import json
 from pathlib import Path
 
 from repro.core.config import NAMED_CONFIGS, MachineConfig
+from repro.core.lifetimes import (
+    mean_phase_summary,
+    occupancy_cdfs,
+    phase_summary,
+)
 from repro.core.pipeline import Pipeline
 from repro.core.stats import SimStats
 from repro.workloads.suite import DEFAULT_SUITE, load_trace
 
 GOLDEN_PATH = Path(__file__).with_name("simstats.json")
+FIGURES_PATH = Path(__file__).with_name("lifetimes.json")
 SCALE = 0.02
 SEED = 1
 SCHEMES = ("lru", "non_bypass", "use_based", "two_level", "monolithic")
@@ -88,21 +99,66 @@ def run_case(kernel: str, scheme: str, overrides: dict) -> SimStats:
     return Pipeline(trace, make_config(scheme, overrides)).run()
 
 
-def generate() -> dict:
+def lifetime_figures(logs: dict[str, list[int]]) -> dict:
+    """The Figure 1 and Figure 2 rows of *logs* (kernel -> lifetime log).
+
+    Figure 1: ``[kernel, empty, live, dead]`` median phases, then the
+    MEAN row. Figure 2: ``[kernel, alloc p50, alloc p90, live p50, live
+    p90, cdfs]``, then the pooled ALL row; ``cdfs`` hashes the full
+    allocated and live CDFs, so a change below the percentiles shows.
+    """
+    summaries = {name: phase_summary(log) for name, log in logs.items()}
+    summaries["MEAN"] = mean_phase_summary(list(summaries.values()))
+    fig1 = [
+        [name, summary.empty, summary.live, summary.dead]
+        for name, summary in summaries.items()
+    ]
+    fig2 = []
+    cdfs = occupancy_cdfs(list(logs.values()))
+    for name, (alloc, live) in zip([*logs, "ALL"], cdfs):
+        fig2.append([
+            name, alloc.median, alloc.percentile(0.9),
+            live.median, live.percentile(0.9),
+            _digest([alloc.levels, alloc.cumulative,
+                     live.levels, live.cumulative]),
+        ])
+    return {"scale": SCALE, "seed": SEED, "fig1": fig1, "fig2": fig2}
+
+
+def golden_logs() -> dict[str, list[int]]:
+    """The lifetime log of each default-suite kernel's ``use_based``
+    run on the default machine."""
+    return {
+        kernel: run_case(kernel, "use_based", {}).lifetimes
+        for kernel in DEFAULT_SUITE
+    }
+
+
+def generate() -> tuple[dict, dict]:
+    """The golden hashes, and the lifetime figures of their runs."""
     golden: dict = {"scale": SCALE, "seed": SEED, "cases": {}}
+    logs = {}
     for case_id, kernel, scheme, overrides in cases():
         stats = run_case(kernel, scheme, overrides)
         entry = {"counters": counters_digest(stats)}
         if scheme == "use_based":
             entry["lifetimes"] = lifetimes_digest(stats)
+            if not overrides:
+                logs[kernel] = stats.lifetimes
         golden["cases"][case_id] = entry
-    return golden
+    return golden, lifetime_figures(logs)
+
+
+def _write(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def main() -> None:
-    golden = generate()
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(golden['cases'])} cases to {GOLDEN_PATH}")
+    golden, figures = generate()
+    _write(GOLDEN_PATH, golden)
+    _write(FIGURES_PATH, figures)
+    print(f"wrote {len(golden['cases'])} cases to {GOLDEN_PATH} "
+          f"and the lifetime figures to {FIGURES_PATH}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ oracle. The hashes were recorded with branch predictors run live inside
 each simulation; today the front end replays the trace's memoized
 branch plan, so they pin that too. An engine sweep must return exactly
 what direct ``Pipeline`` runs return, with one plan per trace.
+``tests/golden/lifetimes.json`` pins the Figure 1 and Figure 2 rows the
+lifetime analyses make of the ``use_based`` logs.
 """
 
 import json
@@ -30,11 +32,14 @@ from repro.frontend.fetch import branch_plan_for
 from repro.testing.oracle import check_run
 from repro.workloads.suite import clear_trace_memo, load_trace
 from tests.golden.generate import (
+    FIGURES_PATH,
     GOLDEN_PATH,
     SCALE,
     SEED,
     cases,
     counters_digest,
+    golden_logs,
+    lifetime_figures,
     lifetimes_digest,
     make_config,
 )
@@ -50,6 +55,13 @@ def _case_id(case) -> str:
 def test_golden_file_covers_every_case():
     assert GOLDEN["scale"] == SCALE and GOLDEN["seed"] == SEED
     assert sorted(GOLDEN["cases"]) == sorted(case[0] for case in CASES)
+
+
+def test_lifetime_figures_match_the_golden_file():
+    """Figures 1 and 2 of the golden ``use_based`` logs: every kernel's
+    row, the MEAN row and the pooled ALL row, as recorded."""
+    expected = json.loads(FIGURES_PATH.read_text())
+    assert lifetime_figures(golden_logs()) == expected
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)

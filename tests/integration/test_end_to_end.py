@@ -161,8 +161,8 @@ def test_lifetime_shape(results):
 
 
 def test_live_registers_well_below_allocated(results):
-    from repro.core.lifetimes import allocated_cdf, live_cdf
-    records = []
-    for stats in results["use_based"].values():
-        records.extend(stats.lifetimes)
-    assert live_cdf(records).median < allocated_cdf(records).median
+    from repro.core.lifetimes import occupancy_cdfs
+    allocated, live = occupancy_cdfs(
+        [stats.lifetimes for stats in results["use_based"].values()]
+    )[-1]
+    assert live.median < allocated.median

@@ -7,10 +7,9 @@ last_read, free``.
 import pytest
 
 from repro.core.lifetimes import (
-    allocated_cdf,
-    live_cdf,
     mean_phase_summary,
     occupancy_cdf,
+    occupancy_cdfs,
     phase_summary,
 )
 
@@ -83,15 +82,14 @@ def test_occupancy_cdf_ignores_empty_intervals():
 
 def test_allocated_exceeds_live():
     log = [0, 10, 12, 40, 5, 20, 22, 45]
-    alloc = allocated_cdf(log)
-    live = live_cdf(log)
+    (alloc, live), _ = occupancy_cdfs([log])
     # Allocation spans dominate live spans.
     assert alloc.percentile(0.9) >= live.percentile(0.9)
 
 
 def test_live_cdf_skips_never_read():
     log = [0, 10, 10, 40]  # never read: zero live span
-    cdf = live_cdf(log)
+    (_, cdf), _ = occupancy_cdfs([log])
     assert cdf.percentile(0.99) == 0
 
 
@@ -106,7 +104,6 @@ def test_unrecorded_log_is_not_an_empty_log():
     survives serialization as such, and every analysis refuses it
     instead of summarizing an empty log."""
     from repro.core.config import use_based_config
-    from repro.core.lifetimes import concatenate_records
     from repro.core.pipeline import Pipeline
     from repro.core.stats import SimStats
     from repro.errors import LifetimesNotRecorded
@@ -117,11 +114,10 @@ def test_unrecorded_log_is_not_an_empty_log():
     assert stats.lifetimes is None
     assert stats.to_dict()["lifetimes"] is None
     assert SimStats.from_dict(stats.to_dict()).lifetimes is None
-    for analysis in (phase_summary, allocated_cdf, live_cdf):
-        with pytest.raises(LifetimesNotRecorded):
-            analysis(stats.lifetimes)
     with pytest.raises(LifetimesNotRecorded):
-        concatenate_records([stats.lifetimes])
+        phase_summary(stats.lifetimes)
+    with pytest.raises(LifetimesNotRecorded):
+        occupancy_cdfs([stats.lifetimes])
 
     logged = Pipeline(trace, use_based_config(record_lifetimes=True)).run()
     assert logged.lifetimes
@@ -129,3 +125,10 @@ def test_unrecorded_log_is_not_an_empty_log():
     del counters["lifetimes"], logged_counters["lifetimes"]
     assert logged_counters == counters
     assert SimStats.merge([stats, logged]).lifetimes is None
+
+
+def test_overlapping_logs_are_refused():
+    """A value read after its register's last free would overlap the
+    next run once pooled, so the pooled row cannot be exact."""
+    with pytest.raises(ValueError, match="overlap"):
+        occupancy_cdfs([[0, 0, 10, 1], [0, 1, 2, 3]])

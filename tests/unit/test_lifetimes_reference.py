@@ -2,8 +2,10 @@
 
 ``repro.core.lifetimes`` works on the columns of a flat log (four ints
 per allocation: alloc, write, last_read, free) with sorted event
-sweeps. The reference here walks one record at a time and counts
-concurrency cycle by cycle, so the two share no code.
+sweeps, and pools several logs from their per-log histograms. The
+reference here walks one record at a time and counts concurrency cycle
+by cycle, and pools by concatenating the shifted logs
+(:func:`concatenate_records`), so the two share no code.
 """
 
 from statistics import median
@@ -11,12 +13,7 @@ from statistics import median
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.lifetimes import (
-    allocated_cdf,
-    concatenate_records,
-    live_cdf,
-    phase_summary,
-)
+from repro.core.lifetimes import occupancy_cdfs, phase_summary
 
 _TIME = st.integers(min_value=0, max_value=40)
 
@@ -41,6 +38,17 @@ def _ordered_records(draw):
 
 def _flat(records):
     return [value for record in records for value in record]
+
+
+def concatenate_records(groups):
+    """Pool lifetime logs by running them back to back: each group is
+    shifted past the previous groups, which each take ``max(0, last
+    free) + 1`` cycles."""
+    pooled, offset = [], 0
+    for group in groups:
+        pooled += [value + offset for value in group]
+        offset += max(0, max(group[3::4], default=0)) + 1
+    return pooled
 
 
 def _reference_median(values):
@@ -79,11 +87,19 @@ def _check_against_reference(records):
     assert summary.dead == _reference_median(
         [max(0, f - r) for _, _, r, f in records]
     )
-    alloc = allocated_cdf(log)
+    (alloc, live), pooled = occupancy_cdfs([log])
+    assert (alloc, live) == pooled  # one log pools to itself
+    _check_cdfs(alloc, live, records)
+
+
+def _records(log):
+    return list(zip(*[iter(log)] * 4))
+
+
+def _check_cdfs(alloc, live, records):
     assert (alloc.levels, alloc.cumulative) == _reference_cdf(
         [(a, f) for a, _, _, f in records]
     )
-    live = live_cdf(log)
     assert (live.levels, live.cumulative) == _reference_cdf(
         [(w, r) for _, w, r, _ in records]
     )
@@ -114,7 +130,42 @@ def test_pooled_logs_run_back_to_back(groups):
         offset += max([0] + [free for *_, free in records]) + 1
     pooled = concatenate_records([_flat(records) for records in groups])
     assert pooled == _flat(shifted)
-    alloc = allocated_cdf(pooled)
+    (alloc, _), _ = occupancy_cdfs([pooled])
     assert (alloc.levels, alloc.cumulative) == _reference_cdf(
         [(a, f) for a, _, _, f in shifted]
     )
+
+
+_NEVER_READ = [(0, 2, 2, 9), (1, 4, 4, 6)]  # no live interval
+
+
+@given(st.lists(_ordered_records(), max_size=4))
+@example([])
+@example([[]])
+@example([[(0, 1, 5, 8)], [], [(2, 3, 7, 7)]])  # an empty log takes a cycle
+@example([_NEVER_READ])
+@example([[(0, 1, 5, 8)], _NEVER_READ, [(2, 3, 7, 7)]])
+@example([[(0, 1, 3, 4)]])  # a single benchmark
+def test_pooled_cdfs_equal_the_reference_over_concatenated_logs(groups):
+    """Figure 2 counts each log once: its per-log histograms summed,
+    with the idle gaps between runs at level 0, give exactly the CDFs
+    of the concatenated logs."""
+    logs = [_flat(records) for records in groups]
+    *per_log, (alloc, live) = occupancy_cdfs(logs)
+    assert len(per_log) == len(groups)
+    for (log_alloc, log_live), records in zip(per_log, groups):
+        _check_cdfs(log_alloc, log_live, records)
+    _check_cdfs(alloc, live, _records(concatenate_records(logs)))
+
+
+@given(st.lists(_RECORDS, max_size=4))
+@example([[(0, 0, 2, 1)], [(0, 0, 1, 1)]])  # live runs touch: no idle cycle
+def test_pooled_cdfs_of_any_logs_are_exact_or_refused(groups):
+    """Logs whose intervals outlast their last free may overlap once
+    run back to back; the pool then refuses rather than miscount."""
+    logs = [_flat(records) for records in groups]
+    try:
+        *_, (alloc, live) = occupancy_cdfs(logs)
+    except ValueError:
+        return
+    _check_cdfs(alloc, live, _records(concatenate_records(logs)))

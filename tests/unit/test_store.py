@@ -138,3 +138,43 @@ def test_cache_dir_unset_or_blank_is_the_default(monkeypatch, value, where):
     else:
         monkeypatch.setenv("REPRO_CACHE_DIR", value)
     assert store.cache_dir() == where
+
+
+KEY = "ab" + "c" * 62
+
+
+def test_read_of_a_missing_entry_is_none(tmp_path):
+    assert store.read(tmp_path, KEY, ".json") is None
+
+
+def test_read_of_a_directory_at_the_entry_path_is_none(tmp_path):
+    os.makedirs(store.path(tmp_path, KEY, ".json"))
+    assert store.read(tmp_path, KEY, ".json") is None
+
+
+def test_read_of_an_empty_entry_is_empty_bytes(tmp_path):
+    store.write(tmp_path, KEY, ".json", b"")
+    assert store.read(tmp_path, KEY, ".json") == b""
+
+
+def test_read_returns_an_entry_larger_than_one_chunk_whole(tmp_path):
+    data = bytes(range(256)) * (3 * store._CHUNK // 256 + 1)
+    store.write(tmp_path, KEY, ".trace", data)
+    assert store.read(tmp_path, KEY, ".trace") == data
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd",
+)
+def test_reads_and_failures_leave_no_descriptor_open(tmp_path):
+    """A raw descriptor raises no ``ResourceWarning`` when leaked, so
+    ``-X dev`` cannot catch one: count the process's descriptors."""
+    store.write(tmp_path, KEY, ".json", b"[1]")
+    os.makedirs(store.path(tmp_path, "cd" + "e" * 62, ".json"))
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(250):
+        assert store.read(tmp_path, KEY, ".json") == b"[1]"
+        assert store.read(tmp_path, "cd" + "e" * 62, ".json") is None
+        assert store.read(tmp_path, "ef" + "0" * 62, ".json") is None
+        assert store.read(tmp_path / "missing", KEY, ".json") is None
+    assert len(os.listdir("/proc/self/fd")) == before
